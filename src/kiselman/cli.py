@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exceeded.  All randomized subcommands require an explicit --seed.
+Exit codes: 0 success, 1 verification failure, 2 usage, input or I/O
+error, 3 budget exceeded.  All randomized subcommands require an explicit
+--seed.
 """
 
 from __future__ import annotations
@@ -23,8 +24,12 @@ EXIT_BUDGET = 3
 DEFAULT_BUDGET = int(os.environ.get("KISELMAN_BUDGET", 5_000_000))
 
 
-def _parse_probs(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _probs(args) -> tuple[float, ...]:
+    """--p, which must give one probability per generator of K_n."""
+    p = tuple(float(tok) for tok in args.p.replace(",", " ").split())
+    if len(p) != args.n:
+        raise ValueError(f"--p has {len(p)} probabilities but --n is {args.n}")
+    return p
 
 
 def _parse_set(text: str) -> frozenset[int]:
@@ -137,7 +142,7 @@ def run(argv=None) -> int:
     except enumeration.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -205,14 +210,14 @@ def _dispatch(args) -> int:
             for x in members:
                 print(core.format_word(x.letters))
     elif args.command == "chain":
-        chain = stochastic.transition_matrix(_parse_probs(args.p))
+        chain = stochastic.transition_matrix(_probs(args))
         if args.format == "json":
             print(json.dumps({"matrix": chain.matrix.tolist(), "initial": chain.initial.tolist()}))
         else:
             for row in chain.matrix:
                 print(" ".join(f"{v:.12g}" for v in row))
     elif args.command == "pmf":
-        pmf = stochastic.exact_hitting_pmf(_parse_probs(args.p), k_max=args.k)
+        pmf = stochastic.exact_hitting_pmf(_probs(args), k_max=args.k)
         if args.format == "json":
             print(json.dumps({"probs": pmf.probs.tolist(), "tail_mass": pmf.tail_mass,
                               "mean": pmf.mean()}))
@@ -221,7 +226,7 @@ def _dispatch(args) -> int:
                 print(f"P(T={k})={prob:.12g}")
             print(f"tail={pmf.tail_mass:.12g}")
     elif args.command == "simulate":
-        p = _parse_probs(args.p)
+        p = _probs(args)
         report = stochastic.simulate(args.n, p, trials=args.trials, seed=args.seed, mode=args.mode)
         pmf = stochastic.exact_hitting_pmf(p)
         verdict = stochastic.verify_distribution(report, pmf)

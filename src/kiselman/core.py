@@ -100,7 +100,28 @@ def zero(rank: int) -> Element:
 def multiply(x: Element, y: Element) -> Element:
     if x.rank != y.rank:
         raise RankMismatchError(f"rank {x.rank} vs {y.rank}")
+    if len(y.letters) == 1:
+        return Element(x.rank, _times_generator(x.letters, y.letters[0]))
     return Element(x.rank, reduce_word(x.letters + y.letters))
+
+
+def _times_generator(letters: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Canonical word of x * a_j, for the canonical word ``letters`` of x.
+
+    Only the new pair (last j of x, appended j) can break canonicity, and
+    the gap between them holds no j, so every gap letter is below or above j.
+    """
+    if j not in letters:
+        return letters + (j,)
+    gap = letters[len(letters) - letters[::-1].index(j) :]
+    if not gap or max(gap) < j:
+        # the reducer deletes the appended j and stops at x
+        return letters
+    if min(gap) > j:
+        # the reducer deletes the old j, which may cascade
+        return reduce_word(letters + (j,))
+    # a mixed gap: the appended word is already canonical
+    return letters + (j,)
 
 
 def product(rank: int, elements) -> Element:
@@ -130,5 +151,20 @@ def tau(x: Element) -> Element:
 
 def is_canonical(letters: tuple[int, ...]) -> bool:
     """True iff between any two consecutive occurrences of the same index
-    there is at least one smaller and at least one larger letter."""
-    return reduce_word(letters) == tuple(letters)
+    there is at least one smaller and at least one larger letter.
+
+    One O(L * n) pass that never calls the reducer, so it checks the
+    reducer independently.
+    """
+    # letter -> 1 (a smaller letter) | 2 (a larger letter) seen since it last occurred
+    gaps: dict[int, int] = {}
+    for v in letters:
+        if gaps.get(v, 3) != 3:
+            return False
+        for u in gaps:
+            if v < u:
+                gaps[u] |= 1
+            elif v > u:
+                gaps[u] |= 2
+        gaps[v] = 0
+    return True

@@ -14,9 +14,11 @@ is the slack-stability check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 
 from kiselman.core import Element, generator, multiply, unit
+from kiselman.morphisms import delete
 
 
 class BudgetExceededError(RuntimeError):
@@ -41,6 +43,24 @@ class ElementList:
 
     def __iter__(self):
         return iter(self.elements)
+
+    @cached_property
+    def index(self) -> dict[Element, int]:
+        """Element -> its position in ``elements``."""
+        return {x: k for k, x in enumerate(self.elements)}
+
+    @cached_property
+    def truncations(self) -> tuple[tuple[int, ...], ...]:
+        """``truncations[i][k]``: the position of delete([i], elements[k]),
+        for depths i = 0..rank.  Built on first use, for a complete list.
+
+        d(x, y) <= i iff x and y have the same depth-i entry.
+        """
+        index = self.index
+        return tuple(
+            tuple(index[delete(range(1, i + 1), x)] for x in self.elements)
+            for i in range(self.rank + 1)
+        )
 
 
 def enumerate_elements(n: int, cap: int = 1_000_000) -> ElementList:

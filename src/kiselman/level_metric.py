@@ -6,6 +6,10 @@ x * e_{[i]} = f, and is computable by folding the one-step update ``g``
 over any word representing x, starting from n.  The map
 d(x, y) = min { i : deleting 1..i from both gives equal elements } is an
 ultrametric with d(x, f) equal to the level of x.
+
+So d(x, y) <= r iff x and y have the same depth-r truncation: balls and
+spheres are read off the truncation table of a complete enumeration, and
+``distance``, computed by definition, spot-checks each answer.
 """
 
 from __future__ import annotations
@@ -105,16 +109,58 @@ def _require_complete(universe) -> None:
         raise IncompleteUniverseError("universe enumeration is not complete")
 
 
-def ball(universe, center: Element, r: int) -> list[Element]:
-    """Closed metric ball, in shortlex order over a complete universe."""
+def _truncation_class(universe, center: Element, r: int):
+    """The depth-r truncation ids of the universe, and that of the centre,
+    for 0 <= r <= n."""
+    row = universe.truncations[r]
+    return row, row[universe.index[center]]
+
+
+def _spot_checked(center: Element, r: int, members: list[Element], exact: bool) -> list[Element]:
+    """Recompute d(center, x) by definition for the last member x, so that
+    every answer read off the truncation table is checked independently."""
+    if members:
+        d = distance(center, members[-1])
+        if not (d == r if exact else d <= r):
+            raise AssertionError(f"truncation table disagrees with distance: d = {d}, r = {r}")
+    return members
+
+
+def _require_metric_query(universe, center: Element) -> None:
     _require_complete(universe)
-    return [x for x in universe.elements if distance(center, x) <= r]
+    if center.rank != universe.rank:
+        raise RankMismatchError(f"rank {center.rank} vs {universe.rank}")
+
+
+def ball(universe, center: Element, r: int) -> list[Element]:
+    """Closed metric ball, in shortlex order over a complete universe:
+    the elements whose depth-r truncation equals the centre's."""
+    _require_metric_query(universe, center)
+    if r < 0:
+        return []
+    if r > universe.rank:
+        return list(universe.elements)
+    row, key = _truncation_class(universe, center, r)
+    members = [x for x, t in zip(universe.elements, row) if t == key]
+    return _spot_checked(center, r, members, exact=False)
 
 
 def sphere(universe, center: Element, r: int) -> list[Element]:
-    """Metric sphere, in shortlex order over a complete universe."""
-    _require_complete(universe)
-    return [x for x in universe.elements if distance(center, x) == r]
+    """Metric sphere, in shortlex order over a complete universe: the ball
+    of radius r without the ball of radius r - 1."""
+    if r < 1:
+        return ball(universe, center, r)
+    _require_metric_query(universe, center)
+    if r > universe.rank:
+        return []
+    row, key = _truncation_class(universe, center, r)
+    inner, inner_key = _truncation_class(universe, center, r - 1)
+    members = [
+        x
+        for x, t, s in zip(universe.elements, row, inner)
+        if t == key and s != inner_key
+    ]
+    return _spot_checked(center, r, members, exact=True)
 
 
 def r_set(universe) -> list[Element]:

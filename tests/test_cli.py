@@ -130,3 +130,25 @@ def test_cli_byte_determinism():
     first = subprocess.run(argv, capture_output=True, timeout=300).stdout
     second = subprocess.run(argv, capture_output=True, timeout=300).stdout
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["pmf", "chain"])
+def test_probabilities_must_match_rank(command, capsys):
+    assert run([command, "--n", "3", "--p", "0.5,0.5"]) == 2
+    assert capsys.readouterr().out == ""
+    assert run([command, "--n", "2", "--p", "0.2,0.3,0.5"]) == 2
+
+
+def test_missing_report_is_an_input_error(tmp_path, capsys):
+    assert run(["verify", "--n", "2", "--report", str(tmp_path / "missing.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_an_input_error(tmp_path, capsys):
+    out_file = tmp_path / "no_such_dir" / "report.json"
+    argv = ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "100", "--seed", "1",
+            "--out", str(out_file)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err

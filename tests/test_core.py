@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kiselman import core
+from kiselman._reduce_py import reduce_word as reduce_reference
 
 words = st.integers(2, 4).flatmap(
     lambda n: st.tuples(
@@ -138,3 +141,34 @@ def test_word_round_trip():
     w = (2, 1, 3, 2)
     assert core.parse_word(core.format_word(w)) == w
     assert core.parse_word("2, 1, 3, 2") == w
+
+
+def _random_word(rng, n, max_len):
+    return tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_len)))
+
+
+def test_is_canonical_matches_reducer():
+    for n in range(2, 9):
+        rng = random.Random(n)
+        for _ in range(1000):
+            w = _random_word(rng, n, 30)
+            canonical = reduce_reference(w)
+            # random words, canonical words, and canonical words plus one letter
+            for v in (w, canonical, canonical + (rng.randint(1, n),)):
+                assert core.is_canonical(v) == (reduce_reference(v) == v), v
+
+
+def _assert_append_matches_reducer(x):
+    for j in range(1, x.rank + 1):
+        appended = core.multiply(x, core.generator(x.rank, j))
+        assert appended.letters == reduce_reference(x.letters + (j,)), (x, j)
+
+
+def test_append_generator_matches_reducer(universe4):
+    for x in universe4:
+        _assert_append_matches_reducer(x)
+    for n in range(3, 9):
+        rng = random.Random(n)
+        for _ in range(3000):
+            canonical = reduce_reference(_random_word(rng, n, 40))
+            _assert_append_matches_reducer(core.Element(n, canonical))

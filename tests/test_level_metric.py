@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kiselman import core, level_metric as lm
+from kiselman import core, enumerate_elements, level_metric as lm
 from tests.conftest import KNOWN_SIZES
 
 
@@ -175,3 +175,43 @@ def test_r_set_structure_theorem(universe3):
     for x in sub:
         built.add(x * a1 * core.idempotent(n, range(2, lm.m_function(x) + 1)))
     assert built == set(lm.r_set(universe3))
+
+
+def _brute_force_metric_sets(universe, center):
+    """(ball, sphere) as functions of r, from ``distance`` alone."""
+    d = [lm.distance(center, x) for x in universe]
+    return (
+        lambda r: [x for x, dx in zip(universe, d) if dx <= r],
+        lambda r: [x for x, dx in zip(universe, d) if dx == r],
+    )
+
+
+def test_ball_and_sphere_match_brute_force(universe2, universe3, universe4):
+    cases = [(u, list(u)) for u in (universe2, universe3, universe4)]
+    universe5 = enumerate_elements(5)
+    cases.append((universe5, random.Random(5).sample(universe5.elements, 20)))
+    for universe, centres in cases:
+        n = universe.rank
+        for c in centres:
+            ball, sphere = _brute_force_metric_sets(universe, c)
+            for r in range(-1, n + 2):
+                assert lm.ball(universe, c, r) == ball(r)
+                assert lm.sphere(universe, c, r) == sphere(r)
+
+
+def test_ball_and_sphere_reject_wrong_rank(universe3):
+    for fn in (lm.ball, lm.sphere):
+        for r in (-1, 1, 5):
+            with pytest.raises(core.RankMismatchError):
+                fn(universe3, core.zero(2), r)
+
+
+def test_corrupt_truncation_table_is_caught(universe2):
+    from kiselman.enumeration import ElementList
+
+    broken = ElementList(rank=2, elements=universe2.elements, complete=True)
+    rows = list(universe2.truncations)
+    rows[1] = (0,) * len(universe2)  # claims every element is within 1 of every other
+    broken.__dict__["truncations"] = tuple(rows)
+    with pytest.raises(AssertionError):
+        lm.ball(broken, core.unit(2), 1)
