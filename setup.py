@@ -1,19 +1,14 @@
 """Build script for the optional compiled reduction kernel.
 
-The package works without the extension (a pure-Python kernel is selected
-at import time), so a failed compile only costs speed.
+The extension is compiled from the shipped C source, which Cython generates
+from ``_speedups.pyx``.  The package works without it (a pure-Python kernel
+is selected at import time), so a failed compile only costs speed.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("kiselman._speedups", ["src/kiselman/_speedups.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension("kiselman._speedups", ["src/kiselman/_speedups.c"], optional=True)
+    ]
+)

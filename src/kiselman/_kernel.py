@@ -1,23 +1,12 @@
-"""Kernel selection: compiled reduction if available, pure Python otherwise.
+"""Kernel selection: the compiled reduction if it is built, pure Python otherwise."""
 
-Set ``KISELMAN_PURE_PYTHON=1`` to force the fallback (used by the benchmark
-and by tests that compare the two kernels).
-"""
+try:
+    from kiselman._speedups import reduce_word
 
-import os
-
-if os.environ.get("KISELMAN_PURE_PYTHON"):
+    KERNEL_BACKEND = "c"
+except ImportError:
     from kiselman._reduce_py import reduce_word
 
     KERNEL_BACKEND = "python"
-else:
-    try:
-        from kiselman._speedups import reduce_word
-
-        KERNEL_BACKEND = "c"
-    except ImportError:
-        from kiselman._reduce_py import reduce_word
-
-        KERNEL_BACKEND = "python"
 
 __all__ = ["reduce_word", "KERNEL_BACKEND"]

@@ -142,6 +142,9 @@ def run(argv=None) -> int:
     except enumeration.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except stochastic.CrosscheckError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -243,20 +246,7 @@ def _dispatch(args) -> int:
             return EXIT_VERIFY_FAILED
     elif args.command == "verify":
         with open(args.report, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        report = stochastic.SimulationReport(
-            rank=payload["rank"],
-            p=tuple(payload["p"]),
-            trials=payload["trials"],
-            seed=payload["seed"],
-            mode=payload["mode"],
-            rng=payload["rng"],
-            histogram={int(k): v for k, v in payload["histogram"].items()},
-            mean=payload["mean"],
-            variance=payload["variance"],
-            crosscheck_trials=payload["crosscheck_trials"],
-            crosscheck_failures=payload["crosscheck_failures"],
-        )
+            report = stochastic.SimulationReport.from_json(fh.read())
         pmf = stochastic.exact_hitting_pmf(np.asarray(report.p))
         verdict = stochastic.verify_distribution(
             report, pmf, tv_bound=args.tv_bound, pvalue_floor=args.pvalue_floor

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 from kiselman.core import Element, generator, multiply, unit
 from kiselman.morphisms import delete
 
 
 class BudgetExceededError(RuntimeError):
-    """The word universe for the oracle would exceed the configured budget."""
+    """A computation would exceed its configured budget (the oracle's word
+    universe, or a simulated trial's step count)."""
 
 
 class OracleInstabilityError(RuntimeError):
@@ -114,6 +115,13 @@ def _all_words(n: int, max_len: int):
     for length in range(1, max_len + 1):
         for w in iter_product(range(1, n + 1), repeat=length):
             yield w
+
+
+def _subsets(n: int):
+    """All subsets of [n] as frozensets, in increasing size order."""
+    items = range(1, n + 1)
+    for k in range(n + 1):
+        yield from map(frozenset, combinations(items, k))
 
 
 def _closure_roots(n: int, bound_small: int, bound_large: int, keep_len: int):

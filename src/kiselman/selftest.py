@@ -13,21 +13,10 @@ import random
 import numpy as np
 
 from kiselman import core, enumeration, level_metric, morphisms, stochastic
+from kiselman.enumeration import _all_words, _subsets
 
 RANKS = (2, 3)
 ORACLE_MAX_LEN = 6
-
-
-def _all_words(n, max_len):
-    yield ()
-    for length in range(1, max_len + 1):
-        yield from itertools.product(range(1, n + 1), repeat=length)
-
-
-def _subsets(n):
-    items = list(range(1, n + 1))
-    for k in range(n + 1):
-        yield from map(frozenset, itertools.combinations(items, k))
 
 
 def check_defining_relations():
@@ -267,18 +256,14 @@ def check_top_generator_counterexample():
     return True
 
 
-def check_level_submultiplicative(samples=300):
-    rng = random.Random(19)
+def check_level_submultiplicative():
     for n in RANKS:
-        for _ in range(samples):
-            x, y = (
-                core.reduce(n, [rng.randint(1, n) for _ in range(rng.randint(0, 6))])
-                for _ in range(2)
-            )
-            lx = level_metric.level_by_definition(x)
-            ly = level_metric.level_by_definition(y)
-            if level_metric.level_by_definition(x * y) > min(lx, ly):
-                return False
+        universe = enumeration.enumerate_elements(n)
+        level = {x: level_metric.level_by_definition(x) for x in universe}
+        for x in universe:
+            for y in universe:
+                if level[x * y] > min(level[x], level[y]):
+                    return False
     return True
 
 
@@ -321,18 +306,14 @@ def check_witness_sets_equal():
 def check_ultrametric_axioms():
     for n in RANKS:
         universe = list(enumeration.enumerate_elements(n))
+        d = {(x, y): level_metric.distance(x, y) for x in universe for y in universe}
         for x in universe:
             for y in universe:
-                d = level_metric.distance(x, y)
-                if (d == 0) != (x == y) or d != level_metric.distance(y, x):
+                if (d[x, y] == 0) != (x == y) or d[x, y] != d[y, x]:
                     return False
-        rng = random.Random(23)
-        for _ in range(2000):
-            x, y, z = (rng.choice(universe) for _ in range(3))
-            if level_metric.distance(x, y) > max(
-                level_metric.distance(x, z), level_metric.distance(z, y)
-            ):
-                return False
+                for z in universe:
+                    if d[x, y] > max(d[x, z], d[z, y]):
+                        return False
     return True
 
 
@@ -384,7 +365,7 @@ def check_partial_product_stabilization():
         trace = stochastic.partial_products(stochastic.SequenceSpec(n, cycle=full_cycle))
         if not trace.stabilized or trace.value != core.zero(n):
             return False
-        for cycle_len in range(1, n + 1):
+        for cycle_len in (1, 2, 3):
             for cycle in itertools.product(range(1, n + 1), repeat=cycle_len):
                 spec = stochastic.SequenceSpec(n, cycle=cycle)
                 trace = stochastic.partial_products(spec)
@@ -412,7 +393,7 @@ def check_chain_vs_convolution():
 
 def check_pmf_mean():
     rng = np.random.default_rng(31)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for _ in range(10):
             p = rng.dirichlet(np.ones(n)) * 0.98 + 0.02 / n
             p = p / p.sum()

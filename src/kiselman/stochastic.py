@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kiselman.core import Element, idempotent, multiply, unit, validate_word
+from kiselman.enumeration import BudgetExceededError
 from kiselman.level_metric import g, level_by_definition
 
 RNG_ALGORITHM = "numpy PCG64, per-trial stream seeded by (master_seed, trial_index)"
@@ -284,6 +285,37 @@ class SimulationReport:
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
+    @classmethod
+    def from_json(cls, text: str) -> SimulationReport:
+        """Inverse of :meth:`to_json`; keys it does not write are ignored.
+
+        Raises ``ValueError`` if the histogram does not count ``trials``
+        hitting times.
+        """
+        payload = json.loads(text)
+        report = cls(
+            rank=payload["rank"],
+            p=tuple(payload["p"]),
+            trials=payload["trials"],
+            seed=payload["seed"],
+            mode=payload["mode"],
+            rng=payload["rng"],
+            histogram={int(k): v for k, v in payload["histogram"].items()},
+            mean=payload["mean"],
+            variance=payload["variance"],
+            crosscheck_trials=payload["crosscheck_trials"],
+            crosscheck_failures=payload["crosscheck_failures"],
+            transition_counts={
+                int(k): v for k, v in payload["transition_counts"].items()
+            },
+        )
+        counted = sum(report.histogram.values())
+        if counted != report.trials:
+            raise ValueError(
+                f"histogram counts {counted} hitting times but trials is {report.trials}"
+            )
+        return report
+
 
 class CrosscheckError(AssertionError):
     """The g-recursion level diverged from the level of the actual product."""
@@ -341,7 +373,7 @@ def simulate(
             i = bisect_right(cum, block.pop()) + 1
             steps += 1
             if steps > step_budget:
-                raise RuntimeError(
+                raise BudgetExceededError(
                     f"trial {trial} exceeded step budget {step_budget}; "
                     "check the probability vector"
                 )

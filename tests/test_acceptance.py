@@ -14,24 +14,13 @@ import numpy as np
 import pytest
 
 from kiselman import core, enumeration, level_metric as lm, morphisms, stochastic as st
+from kiselman.enumeration import _all_words as all_words, _subsets as subsets
 from tests.conftest import KNOWN_SIZES
 
 
 def report(criterion: str, ok: bool):
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}")
     assert ok, criterion
-
-
-def all_words(n, max_len):
-    yield ()
-    for length in range(1, max_len + 1):
-        yield from itertools.product(range(1, n + 1), repeat=length)
-
-
-def subsets(n):
-    items = list(range(1, n + 1))
-    for k in range(n + 1):
-        yield from map(frozenset, itertools.combinations(items, k))
 
 
 def random_positive_p(rng, n):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from kiselman import selftest, stochastic
 from kiselman.cli import run
 
 
@@ -110,16 +111,40 @@ def test_simulate_roundtrip_and_verify(tmp_path, capsys):
     assert code == 0
 
 
-def test_selftest_subprocess():
-    # run out of process so a segfault in the compiled kernel cannot hide
-    proc = subprocess.run(
-        [sys.executable, "-m", "kiselman.cli", "selftest"],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "FAIL" not in proc.stdout
+def test_selftest_reports_a_failing_check(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "CHECKS", [("holds", lambda: True), ("breaks", lambda: False)])
+    code, out = capture(capsys, ["selftest"])
+    assert code == 1
+    assert out.splitlines() == ["PASS  holds", "FAIL  breaks", "1/2 checks passed"]
+
+
+def test_simulation_step_budget_exit_code(capsys):
+    argv = ["simulate", "--n", "2", "--p", "0.99999999,0.00000001", "--trials", "1",
+            "--seed", "1", "--mode", "level"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget exceeded" in captured.err
+
+
+def test_crosscheck_failure_exit_code(monkeypatch, capsys):
+    def diverging(*args, **kwargs):
+        raise stochastic.CrosscheckError("1 level/product mismatches")
+
+    monkeypatch.setattr(stochastic, "simulate", diverging)
+    argv = ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "10", "--seed", "1"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "verification failed: 1 level/product mismatches\n"
+
+
+def test_report_with_wrong_trials_is_an_input_error(tmp_path, capsys):
+    payload = json.loads(stochastic.simulate(2, (0.5, 0.5), trials=100, seed=1).to_json())
+    payload["trials"] += 1
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert run(["verify", "--n", "2", "--report", str(report)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_byte_determinism():

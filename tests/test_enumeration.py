@@ -11,13 +11,6 @@ def test_rank2_enumeration(universe2):
     assert {x.letters for x in universe2} == {(), (1,), (2,), (1, 2), (2, 1)}
 
 
-def test_rank2_idempotents(universe2):
-    idempotents = {x for x in universe2 if x * x == x}
-    assert idempotents == {
-        core.idempotent(2, s) for s in (set(), {1}, {2}, {1, 2})
-    }
-
-
 def test_known_sizes(universe2, universe3, universe4):
     assert len(universe2) == KNOWN_SIZES[2]
     assert len(universe3) == KNOWN_SIZES[3]

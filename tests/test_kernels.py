@@ -1,23 +1,50 @@
 """The compiled and pure-Python reduction kernels must agree exactly."""
 
+import importlib.util
 import itertools
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from kiselman._reduce_py import reduce_word as reduce_py
 
-compiled = pytest.importorskip("kiselman._speedups", reason="extension not built")
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_exhaustive_small_words():
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """``_speedups`` built by ``setup.py`` into a temporary directory, so that
+    no extension lands next to the sources (it would switch the backend)."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc})")
+    out = tmp_path_factory.mktemp("speedups")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
+         "--build-temp", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    built = sorted((out / "kiselman").glob("_speedups*"))
+    assert proc.returncode == 0 and built, proc.stdout + proc.stderr
+    spec = importlib.util.spec_from_file_location("kiselman._speedups", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exhaustive_small_words(compiled):
     for n in (2, 3):
         for length in range(7):
             for w in itertools.product(range(1, n + 1), repeat=length):
                 assert compiled.reduce_word(w) == reduce_py(w)
 
 
-def test_random_long_words():
+def test_random_long_words(compiled):
     rng = random.Random(42)
     for _ in range(2000):
         n = rng.randint(2, 6)
@@ -25,7 +52,7 @@ def test_random_long_words():
         assert compiled.reduce_word(w) == reduce_py(w)
 
 
-def test_accepts_lists_and_tuples():
+def test_accepts_lists_and_tuples(compiled):
     assert compiled.reduce_word([1, 2, 1]) == (2, 1)
     assert reduce_py([1, 2, 1]) == (2, 1)
     assert compiled.reduce_word(()) == ()

@@ -1,21 +1,9 @@
 import itertools
-import random
 
 import pytest
 
 from kiselman import core, morphisms
-
-
-def subsets(n):
-    items = list(range(1, n + 1))
-    for k in range(n + 1):
-        yield from map(frozenset, itertools.combinations(items, k))
-
-
-def all_words(n, max_len):
-    yield ()
-    for length in range(1, max_len + 1):
-        yield from itertools.product(range(1, n + 1), repeat=length)
+from kiselman.enumeration import _subsets
 
 
 def test_dn_member_examples():
@@ -34,22 +22,11 @@ def test_dn_product_examples():
 
 
 def test_diagonal_product_is_intersection():
-    for x in subsets(3):
-        for y in subsets(3):
+    for x in _subsets(3):
+        for y in _subsets(3):
             assert morphisms.dn_product(
                 morphisms.diagonal_matrix(3, x), morphisms.diagonal_matrix(3, y)
             ) == morphisms.diagonal_matrix(3, x & y)
-
-
-def test_dn_closure_random():
-    rng = random.Random(5)
-    found = 0
-    while found < 200:
-        a = tuple(tuple(rng.randint(0, 1) for _ in range(3)) for _ in range(3))
-        b = tuple(tuple(rng.randint(0, 1) for _ in range(3)) for _ in range(3))
-        if morphisms.dn_member(a) and morphisms.dn_member(b):
-            found += 1
-            assert morphisms.dn_member(morphisms.dn_product(a, b))
 
 
 def test_deletion_matrix():
@@ -95,28 +72,19 @@ def test_word_delete():
     ) + morphisms.word_delete({1}, v)
 
 
+def all_words(n, max_len):
+    yield ()
+    for length in range(1, max_len + 1):
+        yield from itertools.product(range(1, n + 1), repeat=length)
+
+
 def test_delete_representative_independent(oracle3):
     # the element-level deletion must not depend on the chosen word
-    for subset in subsets(3):
+    for subset in _subsets(3):
         for w in all_words(3, 5):
             via_word = core.reduce(3, morphisms.word_delete(subset, w))
             via_element = morphisms.delete(subset, core.reduce(3, w))
             assert via_word == via_element
-
-
-def test_delete_of_idempotents():
-    for x in subsets(3):
-        for y in subsets(3):
-            assert morphisms.delete(x, core.idempotent(3, y)) == core.idempotent(3, y - x)
-
-
-def test_delete_composition_and_commutation(universe3):
-    for x in universe3:
-        for s1 in subsets(3):
-            for s2 in subsets(3):
-                d12 = morphisms.delete(s1, morphisms.delete(s2, x))
-                assert d12 == morphisms.delete(s1 | s2, x)
-                assert d12 == morphisms.delete(s2, morphisms.delete(s1, x))
 
 
 def test_delete_empty_set_is_identity(universe3):
@@ -125,24 +93,10 @@ def test_delete_empty_set_is_identity(universe3):
 
 
 def test_delete_matches_matrix_action(universe3):
-    for subset in subsets(3):
+    for subset in _subsets(3):
         spec = morphisms.deletion_matrix(3, subset)
         for x in universe3:
             assert morphisms.delete(subset, x) == morphisms.apply_endomorphism(spec, x)
-
-
-def test_chain_and_absorption_identities(universe3):
-    n = 3
-    for x in universe3:
-        for m in range(1, n + 1):
-            am = core.generator(n, m)
-            assert morphisms.delete(range(1, m), x) * am == morphisms.delete(
-                range(1, m + 1), x
-            ) * am
-        for i in range(n + 1):
-            ei = core.idempotent(n, range(1, i + 1))
-            for j in range(i + 1):
-                assert x * ei == morphisms.delete(range(1, j + 1), x) * ei
 
 
 def test_matrix_text_round_trip():

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -64,16 +63,6 @@ def test_explicit_prefix_never_certifies():
         _ = trace.value
 
 
-def test_all_short_cycles_stabilize_to_content_idempotent():
-    for n in (2, 3):
-        for length in (1, 2, 3):
-            for cycle in itertools.product(range(1, n + 1), repeat=length):
-                spec = st.SequenceSpec(n, cycle=cycle)
-                trace = st.partial_products(spec)
-                assert trace.stabilized
-                assert trace.value == core.idempotent(n, set(cycle))
-
-
 def test_transition_matrix_layout():
     chain = st.transition_matrix([0.3, 0.7])
     expected = np.array([[1.0, 0.0, 0.0], [0.3, 0.7, 0.0], [0.0, 0.7, 0.3]])
@@ -121,23 +110,6 @@ def test_pmf_default_truncation_tail():
     assert pmf.tail_mass >= 0.0
 
 
-def test_pmf_mean_matches_reciprocal_sum():
-    rng = np.random.default_rng(2)
-    for n in (2, 3, 4, 5):
-        for _ in range(5):
-            p = random_positive_p(rng, n)
-            pmf = st.exact_hitting_pmf(p)
-            assert pmf.mean() == pytest.approx(float((1.0 / p).sum()), abs=1e-9)
-
-
-def test_chain_and_convolution_cdfs_agree():
-    rng = np.random.default_rng(3)
-    for n in (2, 3, 4, 5):
-        p = random_positive_p(rng, n)
-        pmf = st.exact_hitting_pmf(p, k_max=60)
-        assert np.abs(pmf.cdf() - st.chain_hitting_cdf(p, 60)).max() < 1e-12
-
-
 def test_simulation_reproducible():
     p = (0.2, 0.3, 0.5)
     rep1 = st.simulate(3, p, trials=500, seed=99, mode="level")
@@ -153,6 +125,7 @@ def test_simulation_full_mode_crosschecks():
     assert rep.crosscheck_failures == 0
     assert min(rep.histogram) >= 3
     assert sum(rep.histogram.values()) == rep.trials
+    assert st.SimulationReport.from_json(rep.to_json()).to_json() == rep.to_json()
 
 
 def test_simulation_mean_matches_expectation():
