@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -21,8 +20,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_BUDGET = int(os.environ.get("KISELMAN_BUDGET", 5_000_000))
-
 
 def _probs(args) -> tuple[float, ...]:
     """--p, which must give one probability per generator of K_n."""
@@ -30,11 +27,6 @@ def _probs(args) -> tuple[float, ...]:
     if len(p) != args.n:
         raise ValueError(f"--p has {len(p)} probabilities but --n is {args.n}")
     return p
-
-
-def _parse_set(text: str) -> frozenset[int]:
-    cleaned = text.replace(",", " ").strip()
-    return frozenset(int(tok) for tok in cleaned.split()) if cleaned else frozenset()
 
 
 def _element(args, attr="word") -> core.Element:
@@ -166,7 +158,8 @@ def _dispatch(args) -> int:
         members = sorted(core.content(_element(args)))
         _emit(args, " ".join(map(str, members)), {"content": members})
     elif args.command == "delete":
-        z = morphisms.delete(_parse_set(args.set), _element(args))
+        members = frozenset(core.validate_word(args.n, core.parse_word(args.set)))
+        z = morphisms.delete(members, _element(args))
         _emit(args, str(z), {"element": core.format_word(z.letters), "rank": args.n})
     elif args.command == "level":
         x = _element(args)
@@ -191,9 +184,6 @@ def _dispatch(args) -> int:
                 print(f"{n}\t{count}")
             return EXIT_OK
         universe = enumeration.enumerate_elements(args.n, cap=args.cap)
-        if not universe.complete:
-            print("enumeration incomplete: cap exceeded", file=sys.stderr)
-            return EXIT_BUDGET
         if args.format == "json":
             print(json.dumps([core.format_word(x.letters) for x in universe]))
         else:
@@ -247,6 +237,8 @@ def _dispatch(args) -> int:
     elif args.command == "verify":
         with open(args.report, encoding="utf-8") as fh:
             report = stochastic.SimulationReport.from_json(fh.read())
+        if report.rank != args.n:
+            raise ValueError(f"--n is {args.n} but the report has rank {report.rank}")
         pmf = stochastic.exact_hitting_pmf(np.asarray(report.p))
         verdict = stochastic.verify_distribution(
             report, pmf, tv_bound=args.tv_bound, pvalue_floor=args.pvalue_floor

@@ -12,7 +12,6 @@ elements are equal iff their ranks and canonical words coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce as _fold
 
 from kiselman._kernel import reduce_word
 
@@ -122,10 +121,6 @@ def _times_generator(letters: tuple[int, ...], j: int) -> tuple[int, ...]:
         return reduce_word(letters + (j,))
     # a mixed gap: the appended word is already canonical
     return letters + (j,)
-
-
-def product(rank: int, elements) -> Element:
-    return _fold(multiply, elements, unit(rank))
 
 
 def content(x: Element) -> frozenset[int]:

@@ -1,14 +1,15 @@
 """Enumeration of K_n and the brute-force congruence oracle.
 
 The enumeration is a breadth-first walk of the right Cayley graph starting
-at the unit, deduplicating by canonical word.  The oracle materializes all
-words up to a length bound and computes the congruence generated by the
-defining relations by union-find, applying every shortening relation
-instance in every context.  Because each relation instance connects a
-longer word to a shorter one, processing words in increasing length order
-discovers exactly the edges available within the bound; running the
-closure at two consecutive bounds and comparing the restricted partitions
-is the slack-stability check.
+at the unit, deduplicating by canonical word; it returns all of K_n or
+raises ``BudgetExceededError``.  The oracle materializes all words up to a
+length bound and computes the congruence generated by the defining
+relations by union-find, applying every shortening relation instance in
+every context.  Because each relation instance connects a longer word to a
+shorter one, processing words in increasing length order discovers exactly
+the edges available within the bound; running the closure at two
+consecutive bounds and comparing the restricted partitions is the
+slack-stability check.
 """
 
 from __future__ import annotations
@@ -20,10 +21,14 @@ from itertools import combinations, product as iter_product
 from kiselman.core import Element, generator, multiply, unit
 from kiselman.morphisms import delete
 
+ORACLE_SLACK = 2  # extra word length over max_len within which relations apply
+ORACLE_BUDGET = 5_000_000  # largest word universe the oracle materializes
+
 
 class BudgetExceededError(RuntimeError):
-    """A computation would exceed its configured budget (the oracle's word
-    universe, or a simulated trial's step count)."""
+    """A computation would exceed its budget: the enumeration cap, the
+    oracle's word universe, the exact pmf's support or a simulated trial's
+    step count."""
 
 
 class OracleInstabilityError(RuntimeError):
@@ -33,11 +38,10 @@ class OracleInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ElementList:
-    """A materialized, shortlex-sorted chunk of K_n."""
+    """All of K_n, materialized in shortlex order."""
 
     rank: int
     elements: tuple[Element, ...]
-    complete: bool
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -53,7 +57,7 @@ class ElementList:
     @cached_property
     def truncations(self) -> tuple[tuple[int, ...], ...]:
         """``truncations[i][k]``: the position of delete([i], elements[k]),
-        for depths i = 0..rank.  Built on first use, for a complete list.
+        for depths i = 0..rank.  Built on first use.
 
         d(x, y) <= i iff x and y have the same depth-i entry.
         """
@@ -67,8 +71,8 @@ class ElementList:
 def enumerate_elements(n: int, cap: int = 1_000_000) -> ElementList:
     """BFS over right multiplication by generators, deduplicated.
 
-    Marked complete iff closure is reached within ``cap`` elements;
-    otherwise the partial list is returned with ``complete=False``.
+    Raises ``BudgetExceededError`` as soon as more than ``cap`` elements
+    are found.
     """
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
@@ -76,7 +80,6 @@ def enumerate_elements(n: int, cap: int = 1_000_000) -> ElementList:
     e = unit(n)
     seen = {e}
     frontier = [e]
-    complete = True
     while frontier:
         nxt = []
         for x in frontier:
@@ -85,14 +88,10 @@ def enumerate_elements(n: int, cap: int = 1_000_000) -> ElementList:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-        if len(seen) > cap:
-            complete = False
-            break
+                    if len(seen) > cap:
+                        raise BudgetExceededError(f"K_{n} has more than {cap} elements")
         frontier = nxt
-    elements = tuple(sorted(seen, key=lambda x: x.shortlex_key))
-    if not complete:
-        elements = elements[:cap]
-    return ElementList(rank=n, elements=elements, complete=complete)
+    return ElementList(rank=n, elements=tuple(sorted(seen, key=lambda x: x.shortlex_key)))
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ class CongruencePartition:
 
     rank: int
     max_len: int
-    slack: int
     class_ids: dict  # word tuple -> class id (ids are dense, ordered by shortlex minimum)
     num_classes: int
 
@@ -183,52 +181,40 @@ def _label(roots: dict) -> dict:
     return out
 
 
-def congruence_oracle(
-    n: int,
-    max_len: int,
-    slack: int = 2,
-    budget: int = 5_000_000,
-) -> CongruencePartition:
+def congruence_oracle(n: int, max_len: int) -> CongruencePartition:
     """Exact congruence classes of all words of length <= max_len.
 
     Relation instances are applied in every context within length bound
-    max_len + slack; stability against bound max_len + slack + 1 is
-    required, so both closures are computed.
+    max_len + ORACLE_SLACK; stability against bound max_len + ORACLE_SLACK
+    + 1 is required, so both closures are computed.
     """
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
-    if n ** (max_len + slack + 1) > budget:
+    bound = max_len + ORACLE_SLACK
+    if n ** (bound + 1) > ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"word universe n={n}, bound={max_len + slack + 1} exceeds budget {budget}"
+            f"word universe n={n}, bound={bound + 1} exceeds budget {ORACLE_BUDGET}"
         )
-    roots_small, roots_large = _closure_roots(
-        n, max_len + slack, max_len + slack + 1, max_len
-    )
+    roots_small, roots_large = _closure_roots(n, bound, bound + 1, max_len)
     labels_small = _label(roots_small)
     labels_large = _label(roots_large)
     if labels_small != labels_large:
         raise OracleInstabilityError(
-            f"classes differ between slack {slack} and {slack + 1}; "
-            "increase slack or the budget"
+            f"classes differ between slack {ORACLE_SLACK} and {ORACLE_SLACK + 1}"
         )
     return CongruencePartition(
         rank=n,
         max_len=max_len,
-        slack=slack,
         class_ids=labels_small,
         num_classes=len(set(labels_small.values())),
     )
 
 
 def cardinality_table(max_rank: int = 4, cap: int = 1_000_000) -> list[tuple[int, int]]:
-    """[(n, |K_n|)] for n = 2..max_rank; truncated at the first incomplete
-    enumeration.  Consecutive ratios must be strictly increasing."""
-    table: list[tuple[int, int]] = []
-    for n in range(2, max_rank + 1):
-        listing = enumerate_elements(n, cap=cap)
-        if not listing.complete:
-            break
-        table.append((n, len(listing)))
+    """[(n, |K_n|)] for n = 2..max_rank; raises ``BudgetExceededError`` if
+    some K_n has more than ``cap`` elements.  Consecutive ratios must be
+    strictly increasing."""
+    table = [(n, len(enumerate_elements(n, cap=cap))) for n in range(2, max_rank + 1)]
     ratios = [b / a for (_, a), (_, b) in zip(table, table[1:])]
     if any(r2 <= r1 for r1, r2 in zip(ratios, ratios[1:])):
         raise AssertionError(f"growth ratios not increasing: {ratios}")

@@ -8,8 +8,9 @@ d(x, y) = min { i : deleting 1..i from both gives equal elements } is an
 ultrametric with d(x, f) equal to the level of x.
 
 So d(x, y) <= r iff x and y have the same depth-r truncation: balls and
-spheres are read off the truncation table of a complete enumeration, and
-``distance``, computed by definition, spot-checks each answer.
+spheres are read off the truncation table of the enumeration of K_n (an
+``ElementList``, which always holds all of K_n), and ``distance``,
+computed by definition, spot-checks each answer.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from kiselman.core import (
     zero,
 )
 from kiselman.morphisms import delete
-
-
-class IncompleteUniverseError(ValueError):
-    """Ball/sphere/R-set queries need a complete enumeration of K_n."""
 
 
 def _interval(i: int) -> range:
@@ -104,11 +101,6 @@ def distance(x: Element, y: Element) -> int:
     raise AssertionError("unreachable: full deletion equalizes everything")
 
 
-def _require_complete(universe) -> None:
-    if not universe.complete:
-        raise IncompleteUniverseError("universe enumeration is not complete")
-
-
 def _truncation_class(universe, center: Element, r: int):
     """The depth-r truncation ids of the universe, and that of the centre,
     for 0 <= r <= n."""
@@ -126,16 +118,15 @@ def _spot_checked(center: Element, r: int, members: list[Element], exact: bool) 
     return members
 
 
-def _require_metric_query(universe, center: Element) -> None:
-    _require_complete(universe)
+def _require_same_rank(universe, center: Element) -> None:
     if center.rank != universe.rank:
         raise RankMismatchError(f"rank {center.rank} vs {universe.rank}")
 
 
 def ball(universe, center: Element, r: int) -> list[Element]:
-    """Closed metric ball, in shortlex order over a complete universe:
-    the elements whose depth-r truncation equals the centre's."""
-    _require_metric_query(universe, center)
+    """Closed metric ball, in shortlex order: the elements whose depth-r
+    truncation equals the centre's."""
+    _require_same_rank(universe, center)
     if r < 0:
         return []
     if r > universe.rank:
@@ -146,11 +137,11 @@ def ball(universe, center: Element, r: int) -> list[Element]:
 
 
 def sphere(universe, center: Element, r: int) -> list[Element]:
-    """Metric sphere, in shortlex order over a complete universe: the ball
-    of radius r without the ball of radius r - 1."""
+    """Metric sphere, in shortlex order: the ball of radius r without the
+    ball of radius r - 1."""
     if r < 1:
         return ball(universe, center, r)
-    _require_metric_query(universe, center)
+    _require_same_rank(universe, center)
     if r > universe.rank:
         return []
     row, key = _truncation_class(universe, center, r)
@@ -165,7 +156,6 @@ def sphere(universe, center: Element, r: int) -> list[Element]:
 
 def r_set(universe) -> list[Element]:
     """All x with x * a_1 = f; coincides with the radius-1 ball around f."""
-    _require_complete(universe)
     n = universe.rank
     f = zero(n)
     a1 = idempotent(n, {1})

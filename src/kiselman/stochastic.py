@@ -21,15 +21,21 @@ from kiselman.enumeration import BudgetExceededError
 from kiselman.level_metric import g, level_by_definition
 
 RNG_ALGORITHM = "numpy PCG64, per-trial stream seeded by (master_seed, trial_index)"
+PROBABILITY_SUM_TOL = 1e-12  # largest accepted |sum(p) - 1|
+PMF_TAIL = 1e-9  # the default pmf truncation leaves less tail mass than this
+PMF_MAX_K = 1_000_000  # largest pmf truncation; (1 - q, q) with q = 3e-5 needs 690,739
+STEP_BUDGET = 1_000_000  # most steps one simulated trial may take
 
 
-def validate_probabilities(p, tol: float = 1e-12) -> np.ndarray:
+def validate_probabilities(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or len(p) < 2:
         raise ValueError("need a probability vector of length n >= 2")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
     if (p < 0).any():
         raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > PROBABILITY_SUM_TOL:
         raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
     return p
 
@@ -213,39 +219,37 @@ class HittingTimePMF:
         return head + tail
 
 
-def exact_hitting_pmf(p, k_max: int | None = None, tail_bound: float = 1e-9) -> HittingTimePMF:
-    """Convolve n geometric pmfs (success p_i, support k >= 1).
+def exact_hitting_pmf(p, k_max: int | None = None) -> HittingTimePMF:
+    """The convolution of n geometric pmfs (success p_i, support k >= 1),
+    in one O(n * k_max) forward pass over k.
 
-    With ``k_max=None``, the smallest truncation with tail mass below
-    ``tail_bound`` is chosen.
+    ``stage[i]`` holds P(S_i = k) for S_i = T_1 + ... + T_i, updated by
+    P(S_i = k) = (1 - p_i) P(S_i = k - 1) + p_i P(S_{i-1} = k - 1).  With
+    ``k_max=None`` the pass stops at the first k whose cumulative mass
+    reaches 1 - PMF_TAIL.  A truncation past PMF_MAX_K raises
+    ``BudgetExceededError``.
     """
     p = validate_probabilities(p)
     require_positive(p)
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"truncation must be >= 0, got {k_max}")
+    if k_max is not None and k_max > PMF_MAX_K:
+        raise BudgetExceededError(f"pmf truncation {k_max} exceeds budget {PMF_MAX_K}")
     n = len(p)
-
-    def convolve(k_cap: int) -> np.ndarray:
-        pmf = np.zeros(k_cap + 1)
-        pmf[0] = 1.0
-        ks = np.arange(k_cap + 1, dtype=float)
-        for pi in p:
-            geo = np.zeros(k_cap + 1)
-            geo[1:] = pi * (1.0 - pi) ** (ks[1:] - 1.0)
-            pmf = np.convolve(pmf, geo)[: k_cap + 1]
-        return pmf
-
-    if k_max is None:
-        k_max = n
-        while True:
-            probs = convolve(k_max)
-            if 1.0 - probs.sum() < tail_bound:
-                break
-            k_max *= 2
-        # shrink back to the smallest adequate truncation
-        cum = np.cumsum(probs)
-        k_max = int(np.searchsorted(cum, 1.0 - tail_bound) )
-        probs = probs[: k_max + 1]
-    else:
-        probs = convolve(k_max)
+    stages = [(i, 1.0 - pi, pi) for i, pi in zip(range(n, 0, -1), p[::-1].tolist())]
+    stage = [1.0] + [0.0] * n
+    probs = [stage[n]]
+    mass = probs[0]
+    last = PMF_MAX_K if k_max is None else k_max
+    while len(probs) <= last and (k_max is not None or mass < 1.0 - PMF_TAIL):
+        for i, stay, move in stages:
+            stage[i] = stay * stage[i] + move * stage[i - 1]
+        stage[0] = 0.0
+        probs.append(stage[n])
+        mass += stage[n]
+    if k_max is None and mass < 1.0 - PMF_TAIL:
+        raise BudgetExceededError(f"pmf tail mass stays above {PMF_TAIL} past k = {PMF_MAX_K}")
+    probs = np.array(probs)
     return HittingTimePMF(p=p, probs=probs, tail_mass=float(1.0 - probs.sum()))
 
 
@@ -327,15 +331,14 @@ def simulate(
     trials: int,
     seed: int,
     mode: str = "full",
-    step_budget: int = 1_000_000,
-    crosscheck_stride: int | None = None,
 ) -> SimulationReport:
     """Run seeded iid-product trials and record hitting times of the zero.
 
     ``mode="level"`` tracks only the level via ``g``; ``mode="full"`` also
     multiplies out the product and asserts the levels agree.  For n >= 4
-    the full crosscheck is sampled (default every 100th trial) since
-    canonical words grow with n.  Reports are deterministic functions of
+    the full crosscheck is sampled (every 100th trial) since canonical
+    words grow with n.  A trial longer than STEP_BUDGET steps raises
+    ``BudgetExceededError``.  Reports are deterministic functions of
     (n, p, trials, seed, mode).
     """
     p = validate_probabilities(p)
@@ -346,8 +349,7 @@ def simulate(
         raise ValueError("need at least one trial")
     if mode not in ("level", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    if crosscheck_stride is None:
-        crosscheck_stride = 1 if n <= 3 else 100
+    stride = 1 if n <= 3 else 100
 
     cum = np.cumsum(p).tolist()
     histogram: dict[int, int] = {}
@@ -361,7 +363,7 @@ def simulate(
 
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        track_element = mode == "full" and trial % crosscheck_stride == 0
+        track_element = mode == "full" and trial % stride == 0
         lvl = n
         steps = 0
         prod = e
@@ -372,9 +374,9 @@ def simulate(
                 block.reverse()
             i = bisect_right(cum, block.pop()) + 1
             steps += 1
-            if steps > step_budget:
+            if steps > STEP_BUDGET:
                 raise BudgetExceededError(
-                    f"trial {trial} exceeded step budget {step_budget}; "
+                    f"trial {trial} exceeded step budget {STEP_BUDGET}; "
                     "check the probability vector"
                 )
             nxt = g(lvl, i)

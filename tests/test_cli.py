@@ -93,6 +93,48 @@ def test_budget_exit_code(capsys):
     assert code == 3
 
 
+def test_cardinality_table_budget_exit_code(capsys):
+    assert run(["enumerate", "--n", "3", "--table", "--cap", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget exceeded" in captured.err
+
+
+def test_pmf_budget_exit_codes(capsys):
+    # an explicit truncation over the budget is refused before any work
+    assert run(["pmf", "--n", "2", "--p", "0.5,0.5", "--k", str(stochastic.PMF_MAX_K + 1)]) == 3
+    assert capsys.readouterr().out == ""
+    # the default truncation of (1 - 1e-7, 1e-7) needs about 2e8 terms
+    assert run(["pmf", "--n", "2", "--p", "0.9999999,0.0000001"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget exceeded" in captured.err
+
+
+def test_pmf_negative_truncation_is_a_usage_error(capsys):
+    assert run(["pmf", "--n", "2", "--p", "0.5,0.5", "--k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["pmf", "chain", "simulate"])
+def test_non_finite_probabilities_are_usage_errors(command, capsys):
+    extra = ["--trials", "10", "--seed", "1"] if command == "simulate" else []
+    for p in ("nan,0.5", "0.5,inf"):
+        assert run([command, "--n", "2", "--p", p, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
+def test_delete_set_out_of_range_is_a_usage_error(capsys):
+    assert run(["delete", "--n", "3", "--word", "2 1", "--set", "9"]) == 2
+    assert run(["delete", "--n", "3", "--word", "2 1", "--set", "0,1"]) == 2
+    assert capsys.readouterr().out == ""
+    assert capture(capsys, ["delete", "--n", "3", "--word", "3 2 1", "--set", ""])[1] == "3 2 1\n"
+
+
 def test_simulate_roundtrip_and_verify(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     # the default TV bound of 0.01 is calibrated for ~10^5 trials
@@ -145,6 +187,26 @@ def test_report_with_wrong_trials_is_an_input_error(tmp_path, capsys):
     report.write_text(json.dumps(payload))
     assert run(["verify", "--n", "2", "--report", str(report)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rank_must_match_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(stochastic.simulate(2, (0.5, 0.5), trials=100, seed=1).to_json())
+    assert run(["verify", "--n", "5", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rank 2" in captured.err
+
+
+def test_shifted_histogram_fails_verification(tmp_path, capsys):
+    payload = json.loads(
+        stochastic.simulate(2, (0.5, 0.5), trials=20000, seed=3, mode="level").to_json()
+    )
+    payload["histogram"] = {str(int(k) + 1): v for k, v in payload["histogram"].items()}
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert run(["verify", "--n", "2", "--report", str(report)]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 def test_cli_byte_determinism():

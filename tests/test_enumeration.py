@@ -7,7 +7,6 @@ from tests.conftest import KNOWN_SIZES
 
 
 def test_rank2_enumeration(universe2):
-    assert universe2.complete
     assert {x.letters for x in universe2} == {(), (1,), (2,), (1, 2), (2, 1)}
 
 
@@ -18,9 +17,11 @@ def test_known_sizes(universe2, universe3, universe4):
 
 
 def test_cap_flags_incomplete():
-    partial = enumeration.enumerate_elements(3, cap=4)
-    assert not partial.complete
-    assert len(partial) <= 4
+    with pytest.raises(enumeration.BudgetExceededError):
+        enumeration.enumerate_elements(3, cap=4)
+    with pytest.raises(enumeration.BudgetExceededError):
+        enumeration.cardinality_table(max_rank=3, cap=KNOWN_SIZES[3] - 1)
+    assert len(enumeration.enumerate_elements(3, cap=KNOWN_SIZES[3])) == KNOWN_SIZES[3]
 
 
 def test_closure_under_operations(universe3):
@@ -64,7 +65,7 @@ def test_dual_method_agreement(oracle2, oracle3, universe2, universe3):
 
 def test_oracle_budget_guard():
     with pytest.raises(enumeration.BudgetExceededError):
-        enumeration.congruence_oracle(3, max_len=8, budget=1000)
+        enumeration.congruence_oracle(3, max_len=12)
 
 
 def test_cardinality_table():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kiselman import core, stochastic as st
+from kiselman.enumeration import BudgetExceededError
 
 
 def random_positive_p(rng, n):
@@ -88,6 +89,18 @@ def test_invalid_probability_vectors():
         st.simulate(2, [1.0, 0.0], trials=1, seed=0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_probabilities_are_rejected(bad):
+    # NaN passes both the sign check and the sum check unless caught first
+    for p in ([bad, 0.5], [0.5, bad], [bad, bad]):
+        with pytest.raises(ValueError, match="finite"):
+            st.validate_probabilities(p)
+        with pytest.raises(ValueError):
+            st.exact_hitting_pmf(p)
+        with pytest.raises(ValueError):
+            st.simulate(2, p, trials=1, seed=0, mode="level")
+
+
 def test_pmf_uniform_rank2():
     pmf = st.exact_hitting_pmf([0.5, 0.5], k_max=12)
     assert pmf.probs[0] == pmf.probs[1] == 0.0
@@ -108,6 +121,32 @@ def test_pmf_default_truncation_tail():
     pmf = st.exact_hitting_pmf([0.2, 0.3, 0.5])
     assert pmf.tail_mass < 1e-9
     assert pmf.tail_mass >= 0.0
+
+
+def test_pmf_default_truncation_is_the_first_k_with_enough_mass():
+    pmf = st.exact_hitting_pmf([0.999, 0.001])
+    assert pmf.k_max == 20714
+    cum = pmf.cdf()
+    assert cum[-1] >= 1.0 - st.PMF_TAIL > cum[-2]
+    p = [1.0 - 3e-5, 3e-5]
+    pmf = st.exact_hitting_pmf(p)
+    assert pmf.k_max == 690739
+    assert pmf.mean() == pytest.approx(sum(1.0 / v for v in p), rel=1e-9)
+
+
+def test_pmf_truncation_must_be_nonnegative():
+    assert st.exact_hitting_pmf([0.5, 0.5], k_max=0).probs.tolist() == [0.0]
+    with pytest.raises(ValueError):
+        st.exact_hitting_pmf([0.5, 0.5], k_max=-1)
+
+
+def test_pmf_support_budget():
+    with pytest.raises(BudgetExceededError):
+        st.exact_hitting_pmf([0.5, 0.5], k_max=st.PMF_MAX_K + 1)
+    assert st.exact_hitting_pmf([0.5, 0.5], k_max=st.PMF_MAX_K).k_max == st.PMF_MAX_K
+    # about 20 / 1e-7 terms are needed: past the budget
+    with pytest.raises(BudgetExceededError):
+        st.exact_hitting_pmf([1.0 - 1e-7, 1e-7])
 
 
 def test_simulation_reproducible():
