@@ -335,11 +335,16 @@ def simulate(
     """Run seeded iid-product trials and record hitting times of the zero.
 
     ``mode="level"`` tracks only the level via ``g``; ``mode="full"`` also
-    multiplies out the product and asserts the levels agree.  For n >= 4
-    the full crosscheck is sampled (every 100th trial) since canonical
-    words grow with n.  A trial longer than STEP_BUDGET steps raises
-    ``BudgetExceededError``.  Reports are deterministic functions of
-    (n, p, trials, seed, mode).
+    multiplies out the product and asserts, at every step, that its level
+    by definition equals the level of the chain, and at the end of the
+    trial that the product is the zero.  For n >= 4 the full crosscheck
+    is sampled (every 100th trial) since canonical words grow with n.
+    Tracked steps read a right-Cayley table built over the states the
+    trials visit, for this call only: it maps (x, i) to x·a_i and the
+    level by definition of x·a_i, so each visited pair is multiplied and
+    checked once and at most min(n·|K_n|, tracked steps) pairs are held.
+    A trial longer than STEP_BUDGET steps raises ``BudgetExceededError``.
+    Reports are deterministic functions of (n, p, trials, seed, mode).
     """
     p = validate_probabilities(p)
     require_positive(p)
@@ -360,6 +365,7 @@ def simulate(
     crosscheck_failures = 0
     e = unit(n)
     gens = [idempotent(n, {i}) for i in range(1, n + 1)]
+    right_cayley: dict[tuple[Element, int], tuple[Element, int]] = {}
 
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
@@ -382,8 +388,12 @@ def simulate(
             nxt = g(lvl, i)
             transition_counts[lvl][0 if nxt == lvl else 1] += 1
             if track_element:
-                prod = multiply(prod, gens[i - 1])
-                if level_by_definition(prod) != nxt:
+                step = right_cayley.get((prod, i))
+                if step is None:
+                    after = multiply(prod, gens[i - 1])
+                    step = right_cayley[prod, i] = (after, level_by_definition(after))
+                prod, prod_level = step
+                if prod_level != nxt:
                     crosscheck_failures += 1
             lvl = nxt
         if track_element:
@@ -438,10 +448,16 @@ def verify_distribution(
     """Compare an empirical hitting-time histogram against the exact pmf.
 
     Total-variation distance over the truncated support (tail pooled) plus
-    a chi-square test over bins with expected count >= 5.
+    a chi-square test over bins with expected count >= 5.  Raises
+    ``ValueError`` unless 0 < tv_bound <= 1 and 0 <= pvalue_floor < 1.
     """
-    from scipy import stats
+    from scipy.special import chdtrc
 
+    # written so that NaN fails too; an infinite bound would switch a check off
+    if not 0.0 < tv_bound <= 1.0:
+        raise ValueError(f"tv_bound must lie in (0, 1], got {tv_bound!r}")
+    if not 0.0 <= pvalue_floor < 1.0:
+        raise ValueError(f"pvalue_floor must lie in [0, 1), got {pvalue_floor!r}")
     if report.rank != len(pmf.p):
         raise ValueError("report and pmf disagree on n")
     trials = report.trials
@@ -472,7 +488,9 @@ def verify_distribution(
     exp_bins[-1] += acc_exp
     obs_arr = np.array(obs_bins)
     exp_arr = np.array(exp_bins) * obs_arr.sum() / sum(exp_bins)
-    chi2, pvalue = stats.chisquare(obs_arr, exp_arr)
+    chi2 = ((obs_arr - exp_arr) ** 2 / exp_arr).sum()
+    dof = len(obs_bins) - 1
+    pvalue = chdtrc(dof, chi2)
     return Verdict(
         passed=bool(tv < tv_bound and pvalue > pvalue_floor),
         tv_distance=tv,
@@ -480,7 +498,7 @@ def verify_distribution(
         chi2_statistic=float(chi2),
         chi2_pvalue=float(pvalue),
         pvalue_floor=pvalue_floor,
-        dof=len(obs_bins) - 1,
+        dof=dof,
     )
 
 

@@ -209,6 +209,24 @@ def test_shifted_histogram_fails_verification(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
+@pytest.mark.parametrize("bound", [
+    ["--tv-bound", "nan"], ["--tv-bound", "inf"], ["--tv-bound", "-1"],
+    ["--tv-bound", "0"], ["--tv-bound", "1.5"], ["--pvalue-floor", "nan"],
+    ["--pvalue-floor=-inf"], ["--pvalue-floor", "-1"], ["--pvalue-floor", "1"],
+])
+def test_verify_bounds_out_of_range_are_usage_errors(bound, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(stochastic.simulate(2, (0.5, 0.5), trials=100, seed=1).to_json())
+    assert run(["verify", "--n", "2", "--report", str(report), *bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must lie in" in captured.err
+    # the closed ends of both ranges are accepted
+    argv = ["verify", "--n", "2", "--report", str(report), "--tv-bound", "1",
+            "--pvalue-floor", "0"]
+    assert run(argv) == 0
+
+
 def test_cli_byte_determinism():
     argv = [
         sys.executable, "-m", "kiselman.cli",

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from kiselman import core, stochastic as st
-from kiselman.enumeration import BudgetExceededError
+from kiselman.enumeration import BudgetExceededError, enumerate_elements
+
+# every element of K_3 but e is the product after some step of a trial
+K3_STEP_PRODUCTS = [x.letters for x in enumerate_elements(3) if x.letters]
 
 
 def random_positive_p(rng, n):
@@ -185,6 +188,57 @@ def test_transition_frequencies():
             freq = down / visits
             se = math.sqrt(p[state - 1] * (1 - p[state - 1]) / visits)
             assert abs(freq - p[state - 1]) < 3.0 * se
+
+
+@pytest.mark.parametrize("n, trials", [(3, 2000), (5, 1000)])
+def test_full_mode_histogram_equals_level_mode(n, trials):
+    p = tuple(np.full(n, 1.0 / n))
+    full = st.simulate(n, p, trials=trials, seed=31, mode="full")
+    level = st.simulate(n, p, trials=trials, seed=31, mode="level")
+    assert full.crosscheck_trials > 0
+    assert full.histogram == level.histogram
+    assert full.transition_counts == level.transition_counts
+
+
+def test_full_mode_checks_each_visited_pair_once(monkeypatch):
+    level_by_definition = st.level_by_definition
+    checked = []
+
+    def counting(x):
+        checked.append(x)
+        return level_by_definition(x)
+
+    monkeypatch.setattr(st, "level_by_definition", counting)
+    rep = st.simulate(3, (0.2, 0.3, 0.5), trials=300, seed=7, mode="full")
+    assert rep.crosscheck_trials == 300
+    assert sorted(x.letters for x in set(checked)) == sorted(K3_STEP_PRODUCTS)
+    assert len(checked) <= 3 * 18  # one call per visited (element, letter) pair
+
+
+@pytest.mark.parametrize("letters", K3_STEP_PRODUCTS, ids=core.format_word)
+def test_misreported_level_is_caught(letters, monkeypatch):
+    level_by_definition = st.level_by_definition
+
+    def misreporting(x):
+        true_level = level_by_definition(x)
+        return true_level + 1 if x.letters == letters else true_level
+
+    monkeypatch.setattr(st, "level_by_definition", misreporting)
+    with pytest.raises(st.CrosscheckError):
+        st.simulate(3, (0.2, 0.3, 0.5), trials=300, seed=7, mode="full")
+
+
+def test_wrong_product_is_caught(monkeypatch):
+    multiply = st.multiply
+    a3, a2 = core.generator(3, 3), core.generator(3, 2)
+
+    def dropping(x, y):
+        # a_3 a_2 (level 1) comes out as a_3 (level 2)
+        return x if (x, y) == (a3, a2) else multiply(x, y)
+
+    monkeypatch.setattr(st, "multiply", dropping)
+    with pytest.raises(st.CrosscheckError):
+        st.simulate(3, (0.2, 0.3, 0.5), trials=300, seed=7, mode="full")
 
 
 def test_crosscheck_stride_for_rank4():
