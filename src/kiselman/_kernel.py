@@ -3,10 +3,13 @@
 try:
     from kiselman._speedups import reduce_word
 
+    def extend(canonical, letters):
+        return reduce_word(canonical + tuple(letters))
+
     KERNEL_BACKEND = "c"
 except ImportError:
-    from kiselman._reduce_py import reduce_word
+    from kiselman._reduce_py import extend, reduce_word
 
     KERNEL_BACKEND = "python"
 
-__all__ = ["reduce_word", "KERNEL_BACKEND"]
+__all__ = ["extend", "reduce_word", "KERNEL_BACKEND"]

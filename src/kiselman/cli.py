@@ -37,7 +37,8 @@ def _emit(args, plain: str, record: dict) -> None:
     if args.format == "json":
         print(json.dumps(record, sort_keys=True))
     elif args.format == "tsv":
-        print("\t".join(str(v) for v in record.values()))
+        print("\t".join(" ".join(map(str, v)) if isinstance(v, list) else str(v)
+                        for v in record.values()))
     else:
         print(plain)
 
@@ -115,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = add("verify", "compare a simulation report against the exact pmf")
     cmd.add_argument("--report", required=True, help="report JSON file")
-    cmd.add_argument("--tv-bound", type=float, default=0.01)
+    cmd.add_argument("--tv-bound", type=float, help="default: exceeded by a correct run "
+                     f"with probability {stochastic.TV_FAILURE_PROB:g}")
     cmd.add_argument("--pvalue-floor", type=float, default=1e-3)
 
     add("selftest", "run the full invariant suite at rank <= 3", rank=False)
@@ -222,7 +224,8 @@ def _dispatch(args) -> int:
         p = _probs(args)
         report = stochastic.simulate(args.n, p, trials=args.trials, seed=args.seed, mode=args.mode)
         pmf = stochastic.exact_hitting_pmf(p)
-        verdict = stochastic.verify_distribution(report, pmf)
+        tv_bound = stochastic.tv_tolerance(pmf, report.trials)
+        verdict = stochastic.verify_distribution(report, pmf, tv_bound)
         payload = json.loads(report.to_json())
         payload["tv_vs_exact"] = verdict.tv_distance
         payload["chi2_pvalue"] = verdict.chi2_pvalue
@@ -240,9 +243,10 @@ def _dispatch(args) -> int:
         if report.rank != args.n:
             raise ValueError(f"--n is {args.n} but the report has rank {report.rank}")
         pmf = stochastic.exact_hitting_pmf(np.asarray(report.p))
-        verdict = stochastic.verify_distribution(
-            report, pmf, tv_bound=args.tv_bound, pvalue_floor=args.pvalue_floor
-        )
+        tv_bound = args.tv_bound
+        if tv_bound is None:
+            tv_bound = stochastic.tv_tolerance(pmf, report.trials)
+        verdict = stochastic.verify_distribution(report, pmf, tv_bound, args.pvalue_floor)
         print(json.dumps({
             "tv_distance": verdict.tv_distance,
             "chi2_pvalue": verdict.chi2_pvalue,

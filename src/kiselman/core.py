@@ -4,16 +4,17 @@ K_n is presented by generators a_1, ..., a_n (n >= 2) subject to
 
     a_i a_i = a_i        and        a_i a_j a_i = a_j a_i a_j = a_i a_j
 
-for j < i.  An element is stored as its canonical word: the unique fixed
-point of the deletion procedure in ``_reduce_py`` / ``_speedups``.  Two
-elements are equal iff their ranks and canonical words coincide.
+for j < i.  An element is stored as its canonical word (see ``_reduce_py``):
+the one word of the element with no pair of consecutive equal letters
+whose gap lies entirely below or entirely above them.  Two elements are
+equal iff their ranks and canonical words coincide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from kiselman._kernel import reduce_word
+from kiselman._kernel import extend, reduce_word
 
 
 class MalformedWordError(ValueError):
@@ -99,28 +100,7 @@ def zero(rank: int) -> Element:
 def multiply(x: Element, y: Element) -> Element:
     if x.rank != y.rank:
         raise RankMismatchError(f"rank {x.rank} vs {y.rank}")
-    if len(y.letters) == 1:
-        return Element(x.rank, _times_generator(x.letters, y.letters[0]))
-    return Element(x.rank, reduce_word(x.letters + y.letters))
-
-
-def _times_generator(letters: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Canonical word of x * a_j, for the canonical word ``letters`` of x.
-
-    Only the new pair (last j of x, appended j) can break canonicity, and
-    the gap between them holds no j, so every gap letter is below or above j.
-    """
-    if j not in letters:
-        return letters + (j,)
-    gap = letters[len(letters) - letters[::-1].index(j) :]
-    if not gap or max(gap) < j:
-        # the reducer deletes the appended j and stops at x
-        return letters
-    if min(gap) > j:
-        # the reducer deletes the old j, which may cascade
-        return reduce_word(letters + (j,))
-    # a mixed gap: the appended word is already canonical
-    return letters + (j,)
+    return Element(x.rank, extend(x.letters, y.letters))
 
 
 def content(x: Element) -> frozenset[int]:

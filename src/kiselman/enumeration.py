@@ -214,6 +214,8 @@ def cardinality_table(max_rank: int = 4, cap: int = 1_000_000) -> list[tuple[int
     """[(n, |K_n|)] for n = 2..max_rank; raises ``BudgetExceededError`` if
     some K_n has more than ``cap`` elements.  Consecutive ratios must be
     strictly increasing."""
+    if max_rank < 2:
+        raise ValueError(f"rank must be at least 2, got {max_rank}")
     table = [(n, len(enumerate_elements(n, cap=cap))) for n in range(2, max_rank + 1)]
     ratios = [b / a for (_, a), (_, b) in zip(table, table[1:])]
     if any(r2 <= r1 for r1, r2 in zip(ratios, ratios[1:])):

@@ -62,20 +62,6 @@ def dn_product(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     )
 
 
-def parse_matrix(text: str) -> BoolMatrix:
-    """Parse n rows of 0/1 digits, one row per line."""
-    rows = tuple(tuple(int(ch) for ch in line.strip()) for line in text.strip().splitlines())
-    n = len(rows)
-    for row in rows:
-        if len(row) != n or any(v not in (0, 1) for v in row):
-            raise ValueError("matrix must be square with 0/1 entries")
-    return rows
-
-
-def format_matrix(matrix: BoolMatrix) -> str:
-    return "\n".join("".join(str(v) for v in row) for row in matrix)
-
-
 @dataclass(frozen=True)
 class EndomorphismSpec:
     """An endomorphism of K_n given by its matrix in D_n.

@@ -25,6 +25,7 @@ PROBABILITY_SUM_TOL = 1e-12  # largest accepted |sum(p) - 1|
 PMF_TAIL = 1e-9  # the default pmf truncation leaves less tail mass than this
 PMF_MAX_K = 1_000_000  # largest pmf truncation; (1 - q, q) with q = 3e-5 needs 690,739
 STEP_BUDGET = 1_000_000  # most steps one simulated trial may take
+TV_FAILURE_PROB = 1e-3  # chance that an exact sampler exceeds tv_tolerance
 
 
 def validate_probabilities(p) -> np.ndarray:
@@ -293,7 +294,7 @@ class SimulationReport:
     def from_json(cls, text: str) -> SimulationReport:
         """Inverse of :meth:`to_json`; keys it does not write are ignored.
 
-        Raises ``ValueError`` if the histogram does not count ``trials``
+        Raises ``ValueError`` unless the histogram counts ``trials`` >= 1
         hitting times.
         """
         payload = json.loads(text)
@@ -313,6 +314,8 @@ class SimulationReport:
                 int(k): v for k, v in payload["transition_counts"].items()
             },
         )
+        if report.trials < 1:
+            raise ValueError(f"a report needs at least one trial, got {report.trials}")
         counted = sum(report.histogram.values())
         if counted != report.trials:
             raise ValueError(
@@ -437,6 +440,16 @@ class Verdict:
     chi2_pvalue: float
     pvalue_floor: float
     dof: int
+
+
+def tv_tolerance(pmf: HittingTimePMF, trials: int) -> float:
+    """A TV bound that N = ``trials`` exact draws exceed with probability at
+    most TV_FAILURE_PROB, capped at 1: E[TV] <= 1/2 sum_k sqrt(q_k (1 - q_k) / N)
+    (Jensen) for the truncated pmf q, tail pooled, and one draw moves TV by at
+    most 1/N, so McDiarmid adds sqrt(ln(1 / TV_FAILURE_PROB) / (2 N))."""
+    q = np.clip(np.append(pmf.probs, pmf.tail_mass), 0.0, 1.0)  # the tail may round below 0
+    mean = 0.5 * float(np.sqrt(q * (1.0 - q) / trials).sum())
+    return min(1.0, mean + float(np.sqrt(np.log(1.0 / TV_FAILURE_PROB) / (2 * trials))))
 
 
 def verify_distribution(

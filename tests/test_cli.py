@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from kiselman import selftest, stochastic
@@ -63,6 +66,25 @@ def test_enumerate_table(capsys):
     code, out = capture(capsys, ["enumerate", "--n", "3", "--table"])
     assert code == 0
     assert out.splitlines() == ["2\t5", "3\t18"]
+
+
+def test_enumerate_table_below_rank_2_is_a_usage_error(capsys):
+    assert run(["enumerate", "--n", "1", "--table"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["reduce", "--word", "1 2 1"], "2 1\t3"),
+    (["content", "--word", "2 1"], "1 2"),
+    (["level", "--word", "1"], "1\t3"),
+    (["dist", "--x", "1", "--y", "2"], "1\t2\t2"),
+], ids=["reduce", "content", "level", "dist"])
+def test_tsv_output(argv, line, capsys):
+    code, out = capture(capsys, [argv[0], "--n", "3", *argv[1:], "--format", "tsv"])
+    assert code == 0
+    assert out == line + "\n"
 
 
 def test_ball_sphere_rset(capsys):
@@ -137,7 +159,6 @@ def test_delete_set_out_of_range_is_a_usage_error(capsys):
 
 def test_simulate_roundtrip_and_verify(tmp_path, capsys):
     out_file = tmp_path / "report.json"
-    # the default TV bound of 0.01 is calibrated for ~10^5 trials
     argv = [
         "simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "100000",
         "--seed", "42", "--mode", "full", "--out", str(out_file),
@@ -189,6 +210,17 @@ def test_report_with_wrong_trials_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_report_without_trials_is_an_input_error(tmp_path, capsys):
+    payload = json.loads(stochastic.simulate(2, (0.5, 0.5), trials=100, seed=1).to_json())
+    payload["trials"], payload["histogram"] = 0, {}
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by zero on the way to the error
+        assert run(["verify", "--n", "2", "--report", str(report)]) == 2
+    assert "at least one trial" in capsys.readouterr().err
+
+
 def test_verify_rank_must_match_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     report.write_text(stochastic.simulate(2, (0.5, 0.5), trials=100, seed=1).to_json())
@@ -207,6 +239,29 @@ def test_shifted_histogram_fails_verification(tmp_path, capsys):
     report.write_text(json.dumps(payload))
     assert run(["verify", "--n", "2", "--report", str(report)]) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_correct_run_at_rank_5_passes(capsys):
+    # a fixed TV bound of 0.01 failed this run (TV 0.0253, chi-square p = 0.28)
+    argv = ["simulate", "--n", "5", "--p", "0.1,0.15,0.2,0.25,0.3", "--trials", "20000",
+            "--seed", "3", "--mode", "full"]
+    code, out = capture(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
+def test_sample_from_a_perturbed_p_fails_verification(tmp_path, capsys):
+    p = (0.2, 0.3, 0.5)
+    perturbed = np.array([0.22, 0.3, 0.5]) / 1.02  # p_1 * 1.1, renormalised
+    sample = stochastic.sample_from_pmf(stochastic.exact_hitting_pmf(perturbed), 100_000, seed=5)
+    report = tmp_path / "report.json"
+    report.write_text(dataclasses.replace(sample, p=p).to_json())
+    assert run(["verify", "--n", "3", "--report", str(report)]) == 1
+    verdict = json.loads(capsys.readouterr().out)
+    # both gates fail: TV above the derived bound, chi-square below the floor
+    bound = stochastic.tv_tolerance(stochastic.exact_hitting_pmf(p), 100_000)
+    assert verdict["tv_distance"] > bound
+    assert verdict["chi2_pvalue"] < 1e-3
 
 
 @pytest.mark.parametrize("bound", [

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kiselman import core
-from kiselman._reduce_py import reduce_word as reduce_reference
+from reference_reduce import reduce_word as reduce_reference
 
 words = st.integers(2, 4).flatmap(
     lambda n: st.tuples(

@@ -73,3 +73,8 @@ def test_cardinality_table():
     assert table == [(2, KNOWN_SIZES[2]), (3, KNOWN_SIZES[3]), (4, KNOWN_SIZES[4])]
     for n, count in table:
         assert count > 2**n
+
+
+def test_cardinality_table_below_rank_2_is_rejected():
+    with pytest.raises(ValueError):
+        enumeration.cardinality_table(max_rank=1)

@@ -98,7 +98,3 @@ def test_delete_matches_matrix_action(universe3):
         for x in universe3:
             assert morphisms.delete(subset, x) == morphisms.apply_endomorphism(spec, x)
 
-
-def test_matrix_text_round_trip():
-    m = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
-    assert morphisms.parse_matrix(morphisms.format_matrix(m)) == m

@@ -254,6 +254,15 @@ def test_verify_self_consistency():
     assert verdict.passed
 
 
+@pytest.mark.parametrize("p, trials, bound", [
+    ((0.1, 0.15, 0.2, 0.25, 0.3), 20_000, 0.0405),
+    ((0.2, 0.3, 0.5), 100_000, 0.0135),
+    ((0.5, 0.5), 100_000, 0.0102),
+])
+def test_tv_tolerance_values(p, trials, bound):
+    assert st.tv_tolerance(st.exact_hitting_pmf(p), trials) == pytest.approx(bound, abs=5e-5)
+
+
 def test_verify_negative_control():
     pmf_wrong = st.exact_hitting_pmf([1 / 3, 1 / 3, 1 / 3])
     rep = st.simulate(2, (0.5, 0.5), trials=50000, seed=23, mode="level")
