@@ -1,15 +1,20 @@
-"""Enumeration of K_n and the brute-force congruence oracle.
+"""Enumeration and counting of K_n, and the brute-force congruence oracle.
 
-The enumeration is a breadth-first walk of the right Cayley graph starting
-at the unit, deduplicating by canonical word; it returns all of K_n or
-raises ``BudgetExceededError``.  The oracle materializes all words up to a
-length bound and computes the congruence generated by the defining
-relations by union-find, applying every shortening relation instance in
-every context.  Because each relation instance connects a longer word to a
-shorter one, processing words in increasing length order discovers exactly
-the edges available within the bound; running the closure at two
-consecutive bounds and comparing the restricted partitions is the
-slack-stability check.
+K_n is built from its canonical words (see ``_reduce_py``): a word is
+canonical iff between any two consecutive occurrences of a letter there is
+a letter below it and a letter above it, and each element has exactly one
+canonical word (Kudryavtseva & Mazorchuk 2009).  So the canonical words are
+the words accepted by a finite automaton: K_n is enumerated by a shortlex
+walk of that automaton, and |K_n| is its number of accepted words, a path
+count.  Neither calls ``multiply`` or the reducer.
+
+The oracle materializes all words up to a length bound and computes the
+congruence generated by the defining relations by union-find, applying
+every shortening relation instance in every context.  Because each
+relation instance connects a longer word to a shorter one, processing
+words in increasing length order discovers exactly the edges available
+within the bound; running the closure at two consecutive bounds and
+comparing the restricted partitions is the slack-stability check.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iter_product
 
-from kiselman.core import Element, generator, multiply, unit
+from kiselman.core import Element
 from kiselman.morphisms import delete
 
 ORACLE_SLACK = 2  # extra word length over max_len within which relations apply
@@ -38,7 +43,8 @@ class OracleInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ElementList:
-    """All of K_n, materialized in shortlex order."""
+    """All of K_n in shortlex order, as built by a shortlex walk of the
+    canonical-word automaton."""
 
     rank: int
     elements: tuple[Element, ...]
@@ -68,30 +74,66 @@ class ElementList:
         )
 
 
-def enumerate_elements(n: int, cap: int = 1_000_000) -> ElementList:
-    """BFS over right multiplication by generators, deduplicated.
+def _automaton(n: int, cap: int) -> tuple[int, int, dict[int, list[tuple[int, int]]]]:
+    """The canonical-word automaton of K_n: |K_n|, which is the number of
+    words it accepts, its start state and, for each state reachable from
+    the start, the moves ``(letter, next state)`` in ascending letter order.
+    Every state accepts.
 
-    Raises ``BudgetExceededError`` as soon as more than ``cap`` elements
-    are found.
+    A state packs two bits per letter u, from bit 2(u - 1) on: the low one
+    is set once a letter below u has occurred since u last occurred, the
+    high one once a letter above u has.  A letter may follow iff both its
+    bits are set.  An absent letter behaves exactly like one with both bits
+    set, so it is stored as such and the start state has every bit set.
+
+    Raises ``BudgetExceededError`` iff K_n has more than ``cap`` elements.
+    Each state is reached by a canonical word of its own, so there are at
+    most |K_n| states, and more than ``cap`` of them already decide that.
+    The words are finite in number, so the automaton is acyclic: its path
+    counts are summed children first, on an explicit stack.
+    """
+    start = (1 << 2 * n) - 1
+    shift = {v: 2 * (v - 1) for v in range(1, n + 1)}
+    # the bits letter v sets in every other letter, and the mask clearing v's own
+    seen = {v: sum((1 if u > v else 2) << shift[u] for u in shift if u != v) for v in shift}
+    clear = {v: start & ~(3 << shift[v]) for v in shift}
+    moves: dict[int, list[tuple[int, int]]] = {}
+    counts: dict[int, int] = {}
+    stack = [start]
+    while stack:
+        s = stack[-1]
+        if s not in moves:
+            out = moves[s] = [
+                (v, (s | seen[v]) & clear[v]) for v in shift if s >> shift[v] & 3 == 3
+            ]
+            if len(moves) > cap:
+                raise BudgetExceededError(f"K_{n} has more than {cap} elements")
+            stack += [t for _, t in out if t not in moves]
+            continue
+        stack.pop()
+        if s not in counts:  # a state may be stacked more than once
+            counts[s] = 1 + sum(counts[t] for _, t in moves[s])
+    if counts[start] > cap:
+        raise BudgetExceededError(f"K_{n} has more than {cap} elements")
+    return counts[start], start, moves
+
+
+def enumerate_elements(n: int, cap: int = 1_000_000) -> ElementList:
+    """All of K_n in shortlex order: the canonical words, walked length by
+    length with letters in ascending order.
+
+    Raises ``BudgetExceededError``, before building any element, if K_n has
+    more than ``cap`` elements.
     """
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
-    gens = [generator(n, i) for i in range(1, n + 1)]
-    e = unit(n)
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a in gens:
-                y = multiply(x, a)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise BudgetExceededError(f"K_{n} has more than {cap} elements")
-        frontier = nxt
-    return ElementList(rank=n, elements=tuple(sorted(seen, key=lambda x: x.shortlex_key)))
+    _, start, moves = _automaton(n, cap)
+    words = [()]
+    layer = [((), start)]
+    while layer:
+        layer = [(w + (v,), t) for w, s in layer for v, t in moves[s]]
+        words += [w for w, _ in layer]
+    return ElementList(rank=n, elements=tuple([Element(n, w) for w in words]))
 
 
 @dataclass(frozen=True)
@@ -211,12 +253,12 @@ def congruence_oracle(n: int, max_len: int) -> CongruencePartition:
 
 
 def cardinality_table(max_rank: int = 4, cap: int = 1_000_000) -> list[tuple[int, int]]:
-    """[(n, |K_n|)] for n = 2..max_rank; raises ``BudgetExceededError`` if
-    some K_n has more than ``cap`` elements.  Consecutive ratios must be
-    strictly increasing."""
+    """[(n, |K_n|)] for n = 2..max_rank, counted without building any
+    element; raises ``BudgetExceededError`` if some K_n has more than
+    ``cap`` elements.  Consecutive ratios must be strictly increasing."""
     if max_rank < 2:
         raise ValueError(f"rank must be at least 2, got {max_rank}")
-    table = [(n, len(enumerate_elements(n, cap=cap))) for n in range(2, max_rank + 1)]
+    table = [(n, _automaton(n, cap)[0]) for n in range(2, max_rank + 1)]
     ratios = [b / a for (_, a), (_, b) in zip(table, table[1:])]
     if any(r2 <= r1 for r1, r2 in zip(ratios, ratios[1:])):
         raise AssertionError(f"growth ratios not increasing: {ratios}")

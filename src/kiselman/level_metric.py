@@ -95,7 +95,9 @@ def distance(x: Element, y: Element) -> int:
     """Ultrametric: least truncation depth at which x and y agree."""
     if x.rank != y.rank:
         raise RankMismatchError(f"rank {x.rank} vs {y.rank}")
-    for i in range(x.rank + 1):
+    if x == y:
+        return 0
+    for i in range(1, x.rank + 1):
         if delete(_interval(i), x) == delete(_interval(i), y):
             return i
     raise AssertionError("unreachable: full deletion equalizes everything")

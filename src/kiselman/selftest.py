@@ -1,4 +1,5 @@
-"""Executable checks of the algebraic laws of K_n at desk scale (rank <= 3).
+"""Executable checks of the algebraic laws of K_n at desk scale (rank <= 3,
+the enumeration and the stochastic layer to rank 5).
 
 Each check is a named predicate over full enumerations or seeded random
 samples.  ``run_selftest`` evaluates all of them and returns (name, ok)
@@ -56,6 +57,30 @@ def check_associativity(samples=300):
             if (x * y) * z != x * (y * z):
                 return False
     return True
+
+
+def bfs_elements(n):
+    """K_n by breadth-first search of the right Cayley graph from the unit,
+    in shortlex order: the reference the automaton walk is checked against."""
+    gens = [core.generator(n, i) for i in range(1, n + 1)]
+    seen = {core.unit(n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a in gens:
+                y = x * a
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda x: x.shortlex_key))
+
+
+def check_enumeration_matches_bfs():
+    return all(
+        enumeration.enumerate_elements(n).elements == bfs_elements(n) for n in (2, 3, 4, 5)
+    )
 
 
 def check_idempotent_classification():
@@ -422,6 +447,7 @@ CHECKS = [
     ("defining relations hold after reduction", check_defining_relations),
     ("reduction equality matches the congruence oracle", check_reduction_matches_oracle),
     ("multiplication is associative", check_associativity),
+    ("the automaton walk equals the BFS, order included", check_enumeration_matches_bfs),
     ("idempotents are exactly the decreasing products e_X", check_idempotent_classification),
     ("high powers collapse to the content idempotent", check_power_collapse),
     ("content is a union homomorphism", check_content_homomorphism),

@@ -9,6 +9,7 @@ import pytest
 
 from kiselman import selftest, stochastic
 from kiselman.cli import run
+from tests.conftest import KNOWN_SIZES
 
 
 def capture(capsys, argv):
@@ -68,6 +69,12 @@ def test_enumerate_table(capsys):
     assert out.splitlines() == ["2\t5", "3\t18"]
 
 
+def test_enumerate_table_counts_past_rank_6(capsys):
+    code, out = capture(capsys, ["enumerate", "--n", "9", "--table", "--cap", str(10**16)])
+    assert code == 0
+    assert out.splitlines() == [f"{n}\t{KNOWN_SIZES[n]}" for n in range(2, 10)]
+
+
 def test_enumerate_table_below_rank_2_is_a_usage_error(capsys):
     assert run(["enumerate", "--n", "1", "--table"]) == 2
     captured = capsys.readouterr()
@@ -113,6 +120,14 @@ def test_usage_errors(capsys):
 def test_budget_exit_code(capsys):
     code, _ = capture(capsys, ["enumerate", "--n", "4", "--cap", "10"])
     assert code == 3
+
+
+def test_ball_past_the_cap_is_refused_before_enumerating(capsys):
+    # |K_7| is over the default cap: refused by the count, before any element is built
+    assert run(["ball", "--n", "7", "--center", "1", "--r", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget exceeded" in captured.err
 
 
 def test_cardinality_table_budget_exit_code(capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from kiselman import core, enumeration, morphisms, tau
+from kiselman import core, enumeration, morphisms, selftest, tau
 from tests.conftest import KNOWN_SIZES
 
 
@@ -22,6 +22,14 @@ def test_cap_flags_incomplete():
     with pytest.raises(enumeration.BudgetExceededError):
         enumeration.cardinality_table(max_rank=3, cap=KNOWN_SIZES[3] - 1)
     assert len(enumeration.enumerate_elements(3, cap=KNOWN_SIZES[3])) == KNOWN_SIZES[3]
+
+
+def test_walk_matches_bfs_at_rank_6():
+    walked = enumeration.enumerate_elements(6).elements
+    assert walked == selftest.bfs_elements(6)
+    for x in walked:
+        assert core.is_canonical(x.letters)
+        assert core.reduce(6, x.letters).letters == x.letters
 
 
 def test_closure_under_operations(universe3):
@@ -59,6 +67,7 @@ def test_oracle_class_count(oracle2):
 
 
 def test_dual_method_agreement(oracle2, oracle3, universe2, universe3):
+    # the automaton walk against the congruence oracle
     assert oracle2.num_classes == len(universe2)
     assert oracle3.num_classes == len(universe3)
 
@@ -73,6 +82,13 @@ def test_cardinality_table():
     assert table == [(2, KNOWN_SIZES[2]), (3, KNOWN_SIZES[3]), (4, KNOWN_SIZES[4])]
     for n, count in table:
         assert count > 2**n
+
+
+def test_cardinality_table_counts_to_rank_10():
+    table = enumeration.cardinality_table(max_rank=10, cap=10**23)
+    assert table == [(n, KNOWN_SIZES[n]) for n in range(2, 11)]
+    with pytest.raises(enumeration.BudgetExceededError):
+        enumeration.cardinality_table(max_rank=10, cap=10**22)
 
 
 def test_cardinality_table_below_rank_2_is_rejected():

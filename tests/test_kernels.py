@@ -3,7 +3,6 @@ with the restart reducer it is checked against (``reference_reduce``), and
 the compiled kernel, which runs the restart algorithm, with the fold."""
 
 import importlib.util
-import itertools
 import random
 import shutil
 import subprocess
@@ -14,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from kiselman._reduce_py import extend, reduce_word as reduce_py
+from kiselman.enumeration import _all_words
 from reference_reduce import reduce_word as reduce_reference
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,9 +42,8 @@ def compiled(tmp_path_factory):
 
 def test_exhaustive_small_words(compiled):
     for n in (2, 3):
-        for length in range(7):
-            for w in itertools.product(range(1, n + 1), repeat=length):
-                assert compiled.reduce_word(w) == reduce_py(w)
+        for w in _all_words(n, 6):
+            assert compiled.reduce_word(w) == reduce_py(w)
 
 
 def test_random_long_words(compiled):

@@ -1,9 +1,7 @@
-import itertools
-
 import pytest
 
 from kiselman import core, morphisms
-from kiselman.enumeration import _subsets
+from kiselman.enumeration import _all_words, _subsets
 
 
 def test_dn_member_examples():
@@ -72,16 +70,10 @@ def test_word_delete():
     ) + morphisms.word_delete({1}, v)
 
 
-def all_words(n, max_len):
-    yield ()
-    for length in range(1, max_len + 1):
-        yield from itertools.product(range(1, n + 1), repeat=length)
-
-
 def test_delete_representative_independent(oracle3):
     # the element-level deletion must not depend on the chosen word
     for subset in _subsets(3):
-        for w in all_words(3, 5):
+        for w in _all_words(3, 5):
             via_word = core.reduce(3, morphisms.word_delete(subset, w))
             via_element = morphisms.delete(subset, core.reduce(3, w))
             assert via_word == via_element
