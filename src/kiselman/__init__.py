@@ -1,5 +1,7 @@
 """Exact computation and simulation toolkit for the monoids K_n."""
 
+import importlib
+
 from kiselman._kernel import KERNEL_BACKEND
 from kiselman.core import (
     Element,
@@ -47,17 +49,28 @@ from kiselman.morphisms import (
     identity_matrix,
     word_delete,
 )
-from kiselman.stochastic import (
-    HittingTimePMF,
-    SequenceSpec,
-    SimulationReport,
-    chain_hitting_cdf,
-    eventual_value,
-    exact_hitting_pmf,
-    partial_products,
-    simulate,
-    transition_matrix,
-    verify_distribution,
-)
+
+# The stochastic layer needs numpy and the algebra does not, so the module
+# and its names are loaded on first access (PEP 562).
+_STOCHASTIC_NAMES = frozenset({
+    "HittingTimePMF",
+    "SequenceSpec",
+    "SimulationReport",
+    "chain_hitting_cdf",
+    "eventual_value",
+    "exact_hitting_pmf",
+    "partial_products",
+    "simulate",
+    "transition_matrix",
+    "verify_distribution",
+})
+
+
+def __getattr__(name):
+    if name == "stochastic" or name in _STOCHASTIC_NAMES:
+        module = importlib.import_module("kiselman.stochastic")
+        return module if name == "stochastic" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

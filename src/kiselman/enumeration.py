@@ -36,6 +36,13 @@ class BudgetExceededError(RuntimeError):
     step count."""
 
 
+class CrosscheckError(AssertionError):
+    """The g-recursion level diverged from the level of the actual product.
+
+    Raised by ``stochastic.simulate``; defined here, beside the other error
+    the CLI maps to an exit code, so that mapping loads no numpy."""
+
+
 class OracleInstabilityError(RuntimeError):
     """The congruence classes changed between slack levels; the length bound
     is too small to trust."""

@@ -11,13 +11,14 @@ sum of n independent geometric variables with success probabilities p_i.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from kiselman.core import Element, idempotent, multiply, unit, validate_word
-from kiselman.enumeration import BudgetExceededError
+from kiselman.enumeration import BudgetExceededError, CrosscheckError
 from kiselman.level_metric import g, level_by_definition
 
 RNG_ALGORITHM = "numpy PCG64, per-trial stream seeded by (master_seed, trial_index)"
@@ -324,10 +325,6 @@ class SimulationReport:
         return report
 
 
-class CrosscheckError(AssertionError):
-    """The g-recursion level diverged from the level of the actual product."""
-
-
 def simulate(
     n: int,
     p,
@@ -452,6 +449,28 @@ def tv_tolerance(pmf: HittingTimePMF, trials: int) -> float:
     return min(1.0, mean + float(np.sqrt(np.log(1.0 / TV_FAILURE_PROB) / (2 * trials))))
 
 
+def chi2_sf(dof: int, x: float) -> float:
+    """P(X > x) for X chi-square with integer ``dof`` degrees of freedom.
+
+    With h = x/2 the tail is e^-h sum_{k < dof/2} h^k / k! for even dof and
+    erfc(sqrt h) + sum_{k < (dof-1)/2} e^-h h^(k+1/2) / Gamma(k + 3/2) for
+    odd dof; every term is positive and formed in log space.  NaN for
+    dof < 1 (a single bin leaves nothing to test), 1 for x <= 0.
+    """
+    if dof < 1:
+        return math.nan
+    if x <= 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    h = x / 2.0
+    log_h = math.log(h)
+    shift = (dof % 2) / 2  # the power of h in the first term of the sum
+    terms = (math.exp((k + shift) * log_h - h - math.lgamma(k + shift + 1))
+             for k in range(dof // 2))
+    return math.fsum(terms) + (math.erfc(math.sqrt(h)) if dof % 2 else 0.0)
+
+
 def verify_distribution(
     report: SimulationReport,
     pmf: HittingTimePMF,
@@ -464,8 +483,6 @@ def verify_distribution(
     a chi-square test over bins with expected count >= 5.  Raises
     ``ValueError`` unless 0 < tv_bound <= 1 and 0 <= pvalue_floor < 1.
     """
-    from scipy.special import chdtrc
-
     # written so that NaN fails too; an infinite bound would switch a check off
     if not 0.0 < tv_bound <= 1.0:
         raise ValueError(f"tv_bound must lie in (0, 1], got {tv_bound!r}")
@@ -503,7 +520,7 @@ def verify_distribution(
     exp_arr = np.array(exp_bins) * obs_arr.sum() / sum(exp_bins)
     chi2 = ((obs_arr - exp_arr) ** 2 / exp_arr).sum()
     dof = len(obs_bins) - 1
-    pvalue = chdtrc(dof, chi2)
+    pvalue = chi2_sf(dof, float(chi2))
     return Verdict(
         passed=bool(tv < tv_bound and pvalue > pvalue_floor),
         tv_distance=tv,

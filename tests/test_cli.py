@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import kiselman
 from kiselman import selftest, stochastic
 from kiselman.cli import run
 from tests.conftest import KNOWN_SIZES
@@ -187,6 +188,28 @@ def test_simulate_roundtrip_and_verify(tmp_path, capsys):
         "verify", "--n", "2", "--report", str(out_file), "--tv-bound", "0.05",
     ])
     assert code == 0
+
+
+def test_simulate_envelope_names_backend_and_version(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    argv = ["simulate", "--n", "3", "--p", "0.2,0.3,0.5", "--trials", "500", "--seed", "4",
+            "--out", str(out_file)]
+    code, out = capture(capsys, argv)
+    assert code == 0
+    assert out_file.read_text() == out
+    envelope = json.loads(out)
+    assert envelope["kernel_backend"] == kiselman.KERNEL_BACKEND
+    assert envelope["kiselman_version"] == kiselman.__version__
+    # the report inside the envelope is unchanged: from_json skips the extra keys
+    report = stochastic.simulate(3, (0.2, 0.3, 0.5), trials=500, seed=4)
+    assert stochastic.SimulationReport.from_json(out).to_json() == report.to_json()
+    assert "kernel_backend" not in json.loads(report.to_json())
+
+
+def test_verify_help_states_the_tv_failure_probability(capsys):
+    code, out = capture(capsys, ["verify", "--help"])
+    assert code == 0
+    assert f"probability {stochastic.TV_FAILURE_PROB:g}" in " ".join(out.split())
 
 
 def test_selftest_reports_a_failing_check(monkeypatch, capsys):

@@ -271,3 +271,40 @@ def test_verify_negative_control():
     )
     verdict = st.verify_distribution(rep, pmf_wrong)
     assert not verdict.passed
+
+
+CHI2_GRID_DOFS = [*range(1, 60), 99, 100, 250, 501, 1000, 2001, 5000]
+
+
+@pytest.mark.parametrize("dof", CHI2_GRID_DOFS)
+def test_chi2_sf_matches_scipy(dof):
+    """The closed form agrees with scipy.special.chdtrc to a relative 1e-10
+    (2.5e-12 at worst on this grid) wherever chdtrc exceeds 1e-280, for x
+    from 0.01 to 5·dof + 50 and densely around the mean dof."""
+    special = pytest.importorskip("scipy.special")
+    spread = 6 * math.sqrt(2 * dof)
+    xs = np.concatenate([
+        np.geomspace(0.01, 5 * dof + 50, 60),
+        np.linspace(max(0.01, dof - spread), dof + spread + 10, 40),
+    ])
+    for x in xs.tolist():
+        expected = special.chdtrc(dof, x)
+        if expected > 1e-280:
+            assert st.chi2_sf(dof, x) == pytest.approx(expected, rel=1e-10, abs=0)
+
+
+def test_chi2_sf_edges():
+    assert math.isnan(st.chi2_sf(0, 0.0))
+    assert math.isnan(st.chi2_sf(0, 3.0))
+    for dof in (1, 2, 7, 100):
+        assert st.chi2_sf(dof, 0.0) == 1.0
+        assert st.chi2_sf(dof, -2.5) == 1.0
+        assert st.chi2_sf(dof, math.inf) == 0.0
+
+
+def test_one_bin_verdict_fails():
+    pmf = st.exact_hitting_pmf([0.5, 0.5])
+    verdict = st.verify_distribution(st.sample_from_pmf(pmf, trials=6, seed=1), pmf, tv_bound=1.0)
+    assert verdict.dof == 0
+    assert math.isnan(verdict.chi2_pvalue)
+    assert not verdict.passed
