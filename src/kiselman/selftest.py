@@ -429,6 +429,16 @@ def check_pmf_mean():
 
 
 def check_simulation_consistency():
+    # the vectorised stream seeding is numpy's own, across a 32-bit word boundary too
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**70 + 3):
+        for start, stop in ((0, 2100), (2**32 - 3, 2**32 + 3)):
+            streams = stochastic._trial_streams(seed, start, stop)
+            if len(streams) != stop - start:
+                return False
+            for trial, (state, inc) in zip(range(start, stop), streams):
+                rng = np.random.default_rng([seed, trial])
+                if rng.bit_generator.state["state"] != {"state": state, "inc": inc}:
+                    return False
     p = (1 / 3, 1 / 3, 1 / 3)
     rep1 = stochastic.simulate(3, p, trials=2000, seed=12345, mode="full")
     rep2 = stochastic.simulate(3, p, trials=2000, seed=12345, mode="full")
@@ -474,7 +484,8 @@ CHECKS = [
     ("partial products stabilize to the content idempotent", check_partial_product_stabilization),
     ("chain powers agree with geometric convolution", check_chain_vs_convolution),
     ("pmf mean equals the sum of reciprocal probabilities", check_pmf_mean),
-    ("seeded simulation is reproducible and self-consistent", check_simulation_consistency),
+    ("trial streams equal default_rng's; seeded runs reproduce and verify",
+     check_simulation_consistency),
 ]
 
 

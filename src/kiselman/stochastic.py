@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -27,6 +28,15 @@ PMF_TAIL = 1e-9  # the default pmf truncation leaves less tail mass than this
 PMF_MAX_K = 1_000_000  # largest pmf truncation; (1 - q, q) with q = 3e-5 needs 690,739
 STEP_BUDGET = 1_000_000  # most steps one simulated trial may take
 TV_FAILURE_PROB = 1e-3  # chance that an exact sampler exceeds tv_tolerance
+SEED_CHUNK = 1024  # trials whose streams one vectorised seeding pass computes
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def validate_probabilities(p) -> np.ndarray:
@@ -325,6 +335,88 @@ class SimulationReport:
         return report
 
 
+def _words(value: int) -> list[int]:
+    """The little-endian 32-bit words numpy splits a nonnegative int into."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed words need a nonnegative int, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _windows(start: int, stop: int, size: int):
+    """Split [start, stop) into windows of at most ``size`` trials, none of
+    which crosses a multiple of 2^32: inside a window every trial index has
+    the same 32-bit words but the lowest."""
+    while start < stop:
+        end = min(stop, start + size, ((start >> 32) + 1) << 32)
+        yield start, end
+        start = end
+
+
+def _trial_streams(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of ``default_rng([seed, trial])`` for every
+    trial in [start, stop), bit for bit.
+
+    numpy hashes the entropy words of ``[seed, trial]`` into a pool of four
+    uint32 words (``SeedSequence``: ``hashmix`` then ``mix``), draws
+    ``generate_state(4, uint64)`` from the pool, and seeds PCG64 with it
+    (``srandom``: inc = 2·initseq + 1, state = (inc + initstate)·M + inc,
+    mod 2^128).  Here the uint32 steps run on arrays with one lane per trial;
+    the hash constants do not depend on the data, so they are Python ints.
+    """
+    seed_words = _words(seed)
+    streams: list[tuple[int, int]] = []
+    for lo, hi in _windows(start, stop, stop - start):
+        lanes = hi - lo
+        low = np.arange(lanes, dtype=np.uint32) + np.uint32(lo & _MASK32)
+        high = _words(lo >> 32) if lo >> 32 else []
+        entropy = [np.full(lanes, w, np.uint32) for w in seed_words] + [low] + [
+            np.full(lanes, w, np.uint32) for w in high
+        ]
+        hash_const = _INIT_A
+
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * np.uint32(hash_const)
+            return value ^ (value >> np.uint32(16))
+
+        def mix(x, y):
+            result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+            return result ^ (result >> np.uint32(16))
+
+        zero = np.zeros(lanes, np.uint32)
+        pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+
+        hash_const = _INIT_B
+        state32 = []
+        for i in range(8):
+            value = pool[i % 4] ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * np.uint32(hash_const)
+            state32.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+        # uint64 words 0, 1 are initstate (high, low); 2, 3 are initseq
+        state64 = [(state32[2 * k] | state32[2 * k + 1] << np.uint64(32)).tolist()
+                   for k in range(4)]
+        for s_hi, s_lo, q_hi, q_lo in zip(*state64):
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            streams.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return streams
+
+
 def simulate(
     n: int,
     p,
@@ -345,6 +437,11 @@ def simulate(
     checked once and at most min(n·|K_n|, tracked steps) pairs are held.
     A trial longer than STEP_BUDGET steps raises ``BudgetExceededError``.
     Reports are deterministic functions of (n, p, trials, seed, mode).
+
+    Trial t draws from the stream of ``default_rng([seed, t])``: one PCG64
+    per call is set to the state that :func:`_trial_streams` computes for
+    SEED_CHUNK trials at a time.  The first trial of each chunk is seeded
+    by numpy as well, and a differing state raises ``CrosscheckError``.
     """
     p = validate_probabilities(p)
     require_positive(p)
@@ -366,43 +463,56 @@ def simulate(
     e = unit(n)
     gens = [idempotent(n, {i}) for i in range(1, n + 1)]
     right_cayley: dict[tuple[Element, int], tuple[Element, int]] = {}
+    bitgen = np.random.PCG64(0)  # reseeded before every trial
+    rng = np.random.Generator(bitgen)
 
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        track_element = mode == "full" and trial % stride == 0
-        lvl = n
-        steps = 0
-        prod = e
-        block: list[float] = []
-        while lvl > 0:
-            if not block:
-                block = rng.random(64).tolist()
-                block.reverse()
-            i = bisect_right(cum, block.pop()) + 1
-            steps += 1
-            if steps > STEP_BUDGET:
-                raise BudgetExceededError(
-                    f"trial {trial} exceeded step budget {STEP_BUDGET}; "
-                    "check the probability vector"
-                )
-            nxt = g(lvl, i)
-            transition_counts[lvl][0 if nxt == lvl else 1] += 1
+    for lo, hi in _windows(0, trials, SEED_CHUNK):
+        # numpy seeds the window's first trial itself; this also rejects
+        # a seed numpy refuses, before any draw
+        expected = np.random.default_rng([seed, lo]).bit_generator.state["state"]
+        streams = _trial_streams(seed, lo, hi)
+        if expected != {"state": streams[0][0], "inc": streams[0][1]}:
+            raise CrosscheckError(
+                f"stream of trial {lo} differs from default_rng([{seed}, {lo}])"
+            )
+        for trial, (state, inc) in enumerate(streams, start=lo):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            track_element = mode == "full" and trial % stride == 0
+            lvl = n
+            steps = 0
+            prod = e
+            block: list[float] = []
+            while lvl > 0:
+                if not block:
+                    # any block size consumes the same doubles; 16 measured fastest
+                    block = rng.random(16).tolist()
+                    block.reverse()
+                i = bisect_right(cum, block.pop()) + 1
+                steps += 1
+                if steps > STEP_BUDGET:
+                    raise BudgetExceededError(
+                        f"trial {trial} exceeded step budget {STEP_BUDGET}; "
+                        "check the probability vector"
+                    )
+                nxt = g(lvl, i)
+                transition_counts[lvl][0 if nxt == lvl else 1] += 1
+                if track_element:
+                    step = right_cayley.get((prod, i))
+                    if step is None:
+                        after = multiply(prod, gens[i - 1])
+                        step = right_cayley[prod, i] = (after, level_by_definition(after))
+                    prod, prod_level = step
+                    if prod_level != nxt:
+                        crosscheck_failures += 1
+                lvl = nxt
             if track_element:
-                step = right_cayley.get((prod, i))
-                if step is None:
-                    after = multiply(prod, gens[i - 1])
-                    step = right_cayley[prod, i] = (after, level_by_definition(after))
-                prod, prod_level = step
-                if prod_level != nxt:
+                crosscheck_trials += 1
+                if prod.letters != tuple(range(n, 0, -1)):
                     crosscheck_failures += 1
-            lvl = nxt
-        if track_element:
-            crosscheck_trials += 1
-            if prod.letters != tuple(range(n, 0, -1)):
-                crosscheck_failures += 1
-        histogram[steps] = histogram.get(steps, 0) + 1
-        total += steps
-        total_sq += steps * steps
+            histogram[steps] = histogram.get(steps, 0) + 1
+            total += steps
+            total_sq += steps * steps
 
     mean = total / trials
     variance = total_sq / trials - mean * mean

@@ -239,6 +239,29 @@ def test_crosscheck_failure_exit_code(monkeypatch, capsys):
     assert err == "verification failed: 1 level/product mismatches\n"
 
 
+def test_wrong_stream_seed_exit_code(monkeypatch, capsys):
+    trial_streams = stochastic._trial_streams
+
+    def corrupted(seed, start, stop):
+        streams = trial_streams(seed, start, stop)
+        state, inc = streams[0]
+        streams[0] = (state, inc ^ 2)
+        return streams
+
+    monkeypatch.setattr(stochastic, "_trial_streams", corrupted)
+    argv = ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "10", "--seed", "1"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: stream of trial 0 differs")
+
+
+def test_negative_seed_exit_code(capsys):
+    argv = ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "10", "--seed", "-1"]
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_report_with_wrong_trials_is_an_input_error(tmp_path, capsys):
     payload = json.loads(stochastic.simulate(2, (0.5, 0.5), trials=100, seed=1).to_json())
     payload["trials"] += 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -159,6 +160,46 @@ def test_simulation_reproducible():
     assert rep1.to_json() == rep2.to_json()
     rep3 = st.simulate(3, p, trials=500, seed=100, mode="level")
     assert rep1.to_json() != rep3.to_json()
+
+
+# sha256 of the report bytes: trial t draws from default_rng([seed, t]), so
+# any change to the streams, the draws or the serialisation shows here
+@pytest.mark.parametrize("n, p, trials, seed, mode, digest", [
+    (2, (0.5, 0.5), 500, 0, "level",
+     "996daff7ed357335533fff72a7e968fe3dcdf696869183045c76132c309e8957"),
+    (3, (0.2, 0.3, 0.5), 300, 2**32, "full",
+     "92e28a9aa730648ed9be698a2bf0d45a0b80eb331881d4212f2b00225498c794"),
+    # trials 0, 100 and 200 are crosschecked
+    (5, (0.1, 0.15, 0.2, 0.25, 0.3), 201, 2**64 + 7, "full",
+     "4b669636b802127a5a0597fec21824b48280d4ea03e19c40b0f9cf03ae188044"),
+    # spans several seeding chunks
+    (3, (0.2, 0.3, 0.5), 3000, 901, "level",
+     "cde3c25183e7c047808b6cc8cc3914c0093f891334637180b326fdeac0335640"),
+])
+def test_simulation_report_bytes(n, p, trials, seed, mode, digest):
+    report = st.simulate(n, p, trials=trials, seed=seed, mode=mode)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError):
+        st.simulate(2, (0.5, 0.5), trials=10, seed=-1)
+
+
+def test_wrong_stream_seed_is_caught(monkeypatch):
+    trial_streams = st._trial_streams
+
+    def corrupted(seed, start, stop):
+        streams = trial_streams(seed, start, stop)
+        if start == st.SEED_CHUNK:  # the second chunk's first state only
+            state, inc = streams[0]
+            streams[0] = (state ^ 1, inc)
+        return streams
+
+    monkeypatch.setattr(st, "_trial_streams", corrupted)
+    st.simulate(2, (0.5, 0.5), trials=st.SEED_CHUNK, seed=1, mode="level")
+    with pytest.raises(st.CrosscheckError, match=f"trial {st.SEED_CHUNK} differs"):
+        st.simulate(2, (0.5, 0.5), trials=st.SEED_CHUNK + 1, seed=1, mode="level")
 
 
 def test_simulation_full_mode_crosschecks():
