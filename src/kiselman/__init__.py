@@ -2,7 +2,6 @@
 
 import importlib
 
-from kiselman._kernel import KERNEL_BACKEND
 from kiselman.core import (
     Element,
     MalformedWordError,
@@ -72,5 +71,9 @@ def __getattr__(name):
         return module if name == "stochastic" else getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+
+# The reduction kernel is the pure-Python fold in ``_reduce_py``; the name stays
+# because benchmark provenance and the ``simulate`` JSON envelope report it.
+KERNEL_BACKEND = "python"
 
 __version__ = "0.1.0"

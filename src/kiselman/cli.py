@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import kiselman
@@ -42,6 +43,11 @@ def _emit(args, plain: str, record: dict) -> None:
         print(plain)
 
 
+def _json_number(value: float) -> float | None:
+    """``value``, or None (JSON null) for NaN, which strict JSON cannot hold."""
+    return None if math.isnan(value) else value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kiselman",
@@ -49,13 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, rank=True):
+    def add(name, help_text, *, rank=True, fmt=True):
         cmd = sub.add_parser(name, help=help_text)
         if rank:
             cmd.add_argument("--n", type=int, required=True, help="rank (>= 2)")
-        cmd.add_argument(
-            "--format", choices=("json", "tsv", "plain"), default="plain"
-        )
+        if fmt:
+            cmd.add_argument(
+                "--format", choices=("json", "tsv", "plain"), default="plain"
+            )
         return cmd
 
     cmd = add("reduce", "canonical form of a word")
@@ -106,20 +113,20 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--p", required=True)
     cmd.add_argument("--k", type=int, default=None, help="truncation (default: tail < 1e-9)")
 
-    cmd = add("simulate", "seeded Monte Carlo hitting times")
+    cmd = add("simulate", "seeded Monte Carlo hitting times", fmt=False)
     cmd.add_argument("--p", required=True)
     cmd.add_argument("--trials", type=int, required=True)
     cmd.add_argument("--seed", type=int, required=True)
     cmd.add_argument("--mode", choices=("level", "full"), default="full")
     cmd.add_argument("--out", default=None, help="write the report JSON here")
 
-    cmd = add("verify", "compare a simulation report against the exact pmf")
+    cmd = add("verify", "compare a simulation report against the exact pmf", fmt=False)
     cmd.add_argument("--report", required=True, help="report JSON file")
     cmd.add_argument("--tv-bound", type=float, help="default: exceeded by a correct run "
                      "with probability 0.001")  # stochastic.TV_FAILURE_PROB
     cmd.add_argument("--pvalue-floor", type=float, default=1e-3)
 
-    add("selftest", "run the full invariant suite at rank <= 3", rank=False)
+    add("selftest", "run every internal consistency check", rank=False, fmt=False)
     return parser
 
 
@@ -235,7 +242,7 @@ def _dispatch(args) -> int:
         payload["kernel_backend"] = kiselman.KERNEL_BACKEND
         payload["kiselman_version"] = kiselman.__version__
         payload["tv_vs_exact"] = verdict.tv_distance
-        payload["chi2_pvalue"] = verdict.chi2_pvalue
+        payload["chi2_pvalue"] = _json_number(verdict.chi2_pvalue)
         payload["verdict"] = "pass" if verdict.passed else "fail"
         text = json.dumps(payload, sort_keys=True)
         if args.out:
@@ -258,7 +265,7 @@ def _dispatch(args) -> int:
         verdict = stochastic.verify_distribution(report, pmf, tv_bound, args.pvalue_floor)
         print(json.dumps({
             "tv_distance": verdict.tv_distance,
-            "chi2_pvalue": verdict.chi2_pvalue,
+            "chi2_pvalue": _json_number(verdict.chi2_pvalue),
             "passed": verdict.passed,
         }, sort_keys=True))
         if not verdict.passed:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from kiselman._kernel import extend, reduce_word
+from kiselman._reduce_py import extend, reduce_word
 
 
 class MalformedWordError(ValueError):

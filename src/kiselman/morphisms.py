@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from kiselman._kernel import reduce_word
+from kiselman._reduce_py import reduce_word
 from kiselman.core import Element, idempotent, multiply, unit
 
 BoolMatrix = tuple[tuple[int, ...], ...]

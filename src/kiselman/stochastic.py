@@ -305,18 +305,34 @@ class SimulationReport:
     def from_json(cls, text: str) -> SimulationReport:
         """Inverse of :meth:`to_json`; keys it does not write are ignored.
 
-        Raises ``ValueError`` unless the histogram counts ``trials`` >= 1
-        hitting times.
+        Raises ``ValueError`` unless the report is a JSON object whose
+        ``rank`` and ``trials`` are ints, ``p`` a list of numbers,
+        ``transition_counts`` an object and ``histogram`` an object from
+        hitting times to counts >= 0 that add up to ``trials`` >= 1.
         """
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"a report is a JSON object, got {type(payload).__name__}")
+        for key in ("rank", "trials"):
+            if not _is_int(payload[key]):
+                raise ValueError(f"report {key} must be an int, got {payload[key]!r}")
+        p = payload["p"]
+        if not isinstance(p, list) or not all(_is_int(v) or isinstance(v, float) for v in p):
+            raise ValueError(f"report p must be a list of numbers, got {p!r}")
+        for key in ("histogram", "transition_counts"):
+            if not isinstance(payload[key], dict):
+                raise ValueError(f"report {key} must be an object, got {payload[key]!r}")
+        histogram = {int(k): v for k, v in payload["histogram"].items()}
+        if not all(k >= 0 and _is_int(v) and v >= 0 for k, v in histogram.items()):
+            raise ValueError("report histogram must map hitting times to counts >= 0")
         report = cls(
             rank=payload["rank"],
-            p=tuple(payload["p"]),
+            p=tuple(p),
             trials=payload["trials"],
             seed=payload["seed"],
             mode=payload["mode"],
             rng=payload["rng"],
-            histogram={int(k): v for k, v in payload["histogram"].items()},
+            histogram=histogram,
             mean=payload["mean"],
             variance=payload["variance"],
             crosscheck_trials=payload["crosscheck_trials"],
@@ -333,6 +349,11 @@ class SimulationReport:
                 f"histogram counts {counted} hitting times but trials is {report.trials}"
             )
         return report
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _words(value: int) -> list[int]:

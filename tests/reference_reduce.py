@@ -7,8 +7,7 @@ occurrence; when every letter in the gap is larger than i, deleting the
 left occurrence.  Adjacent equal letters (empty gap) delete the right one.
 Each step shortens the word, so the loop terminates.  A fixed point has,
 between any two consecutive occurrences of i, at least one letter below i
-and at least one above it.  The compiled kernel in
-``src/kiselman/_speedups.pyx`` runs the same algorithm.
+and at least one above it.
 """
 
 

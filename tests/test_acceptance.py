@@ -15,7 +15,7 @@ import pytest
 
 from kiselman import core, enumeration, level_metric as lm, morphisms, stochastic as st
 from kiselman.enumeration import _all_words as all_words, _subsets as subsets
-from tests.conftest import KNOWN_SIZES
+from conftest import KNOWN_SIZES
 
 
 def report(criterion: str, ok: bool):

@@ -10,7 +10,7 @@ import pytest
 import kiselman
 from kiselman import selftest, stochastic
 from kiselman.cli import run
-from tests.conftest import KNOWN_SIZES
+from conftest import KNOWN_SIZES
 
 
 def capture(capsys, argv):
@@ -280,6 +280,56 @@ def test_report_without_trials_is_an_input_error(tmp_path, capsys):
         warnings.simplefilter("error")  # no division by zero on the way to the error
         assert run(["verify", "--n", "2", "--report", str(report)]) == 2
     assert "at least one trial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: dict(r, histogram=[1, 2]),
+    lambda r: dict(r, trials="200"),
+    lambda r: [1, 2],
+    lambda r: dict(r, p=None),
+    lambda r: dict(r, transition_counts=[1]),
+    lambda r: dict(r, histogram={"2": 300, "3": -100}),
+], ids=["histogram-list", "trials-string", "top-level-list", "p-null",
+        "transition-counts-list", "negative-count"])
+def test_malformed_report_is_an_input_error(edit, tmp_path, capsys):
+    payload = json.loads(stochastic.simulate(2, (0.5, 0.5), trials=200, seed=4).to_json())
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(edit(payload)))
+    assert run(["verify", "--n", "2", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_one_bin_pvalue_prints_as_strict_json(tmp_path, capsys):
+    def strict(text):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+        return json.loads(text, parse_constant=refuse)
+
+    report = tmp_path / "report.json"
+    argv = ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "5", "--seed", "1",
+            "--out", str(report)]
+    code, out = capture(capsys, argv)
+    assert code == 1  # one bin: dof 0, so the chi-square test fails
+    assert strict(out)["chi2_pvalue"] is None
+    assert strict(report.read_text())["verdict"] == "fail"
+    code, out = capture(capsys, ["verify", "--n", "2", "--report", str(report)])
+    assert code == 1
+    assert strict(out) == {"chi2_pvalue": None, "passed": False,
+                           "tv_distance": strict(report.read_text())["tv_vs_exact"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "5", "--seed", "1"],
+    ["verify", "--n", "2", "--report", "report.json"],
+    ["selftest"],
+], ids=["simulate", "verify", "selftest"])
+def test_format_is_refused_where_it_has_no_effect(argv, capsys):
+    assert run(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format json" in captured.err
 
 
 def test_verify_rank_must_match_report(tmp_path, capsys):

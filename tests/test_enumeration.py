@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from kiselman import core, enumeration, morphisms, selftest, tau
-from tests.conftest import KNOWN_SIZES
+from conftest import KNOWN_SIZES
 
 
 def test_rank2_enumeration(universe2):

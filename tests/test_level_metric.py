@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kiselman import core, enumerate_elements, level_metric as lm
-from tests.conftest import KNOWN_SIZES
+from conftest import KNOWN_SIZES
 
 
 def test_level_of_unit_and_zero():
