@@ -37,17 +37,7 @@ from kiselman.level_metric import (
     r_set,
     sphere,
 )
-from kiselman.morphisms import (
-    EndomorphismSpec,
-    InvalidEndomorphismError,
-    apply_endomorphism,
-    delete,
-    deletion_matrix,
-    dn_member,
-    dn_product,
-    identity_matrix,
-    word_delete,
-)
+from kiselman.morphisms import delete, word_delete
 
 # The stochastic layer needs numpy and the algebra does not, so the module
 # and its names are loaded on first access (PEP 562).

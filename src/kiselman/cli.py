@@ -55,15 +55,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, rank=True, fmt=True):
+    # a command offers only the formats it prints
+    def add(name, help_text, *, rank=True, formats=("json", "tsv", "plain")):
         cmd = sub.add_parser(name, help=help_text)
         if rank:
             cmd.add_argument("--n", type=int, required=True, help="rank (>= 2)")
-        if fmt:
-            cmd.add_argument(
-                "--format", choices=("json", "tsv", "plain"), default="plain"
-            )
+        if formats:
+            cmd.add_argument("--format", choices=formats, default="plain")
         return cmd
+
+    # the commands whose plain output is already a list or a table
+    plain_or_json = ("json", "plain")
 
     cmd = add("reduce", "canonical form of a word")
     cmd.add_argument("--word", required=True)
@@ -92,41 +94,41 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--x", required=True)
     cmd.add_argument("--y", required=True)
 
-    cmd = add("enumerate", "list all elements of K_n")
+    cmd = add("enumerate", "list all elements of K_n", formats=plain_or_json)
     cmd.add_argument("--cap", type=int, default=1_000_000)
     cmd.add_argument("--table", action="store_true", help="emit (n, |K_n|) TSV up to --n")
 
-    cmd = add("ball", "metric ball around an element")
+    cmd = add("ball", "metric ball around an element", formats=plain_or_json)
     cmd.add_argument("--center", default="")
     cmd.add_argument("--r", type=int, required=True)
 
-    cmd = add("sphere", "metric sphere around an element")
+    cmd = add("sphere", "metric sphere around an element", formats=plain_or_json)
     cmd.add_argument("--center", default="")
     cmd.add_argument("--r", type=int, required=True)
 
-    add("rset", "all x with x*a_1 equal to the zero")
+    add("rset", "all x with x*a_1 equal to the zero", formats=plain_or_json)
 
-    cmd = add("chain", "transition matrix of the level chain")
+    cmd = add("chain", "transition matrix of the level chain", formats=plain_or_json)
     cmd.add_argument("--p", required=True, help="comma-separated probabilities")
 
-    cmd = add("pmf", "exact hitting-time distribution")
+    cmd = add("pmf", "exact hitting-time distribution", formats=plain_or_json)
     cmd.add_argument("--p", required=True)
     cmd.add_argument("--k", type=int, default=None, help="truncation (default: tail < 1e-9)")
 
-    cmd = add("simulate", "seeded Monte Carlo hitting times", fmt=False)
+    cmd = add("simulate", "seeded Monte Carlo hitting times", formats=())
     cmd.add_argument("--p", required=True)
     cmd.add_argument("--trials", type=int, required=True)
     cmd.add_argument("--seed", type=int, required=True)
     cmd.add_argument("--mode", choices=("level", "full"), default="full")
     cmd.add_argument("--out", default=None, help="write the report JSON here")
 
-    cmd = add("verify", "compare a simulation report against the exact pmf", fmt=False)
+    cmd = add("verify", "compare a simulation report against the exact pmf", formats=())
     cmd.add_argument("--report", required=True, help="report JSON file")
     cmd.add_argument("--tv-bound", type=float, help="default: exceeded by a correct run "
                      "with probability 0.001")  # stochastic.TV_FAILURE_PROB
     cmd.add_argument("--pvalue-floor", type=float, default=1e-3)
 
-    add("selftest", "run every internal consistency check", rank=False, fmt=False)
+    add("selftest", "run every internal consistency check", rank=False, formats=())
     return parser
 
 
@@ -188,6 +190,8 @@ def _dispatch(args) -> int:
         )
     elif args.command == "enumerate":
         if args.table:
+            if args.format != "plain":
+                raise ValueError("--table prints TSV and takes no --format")
             for n, count in enumeration.cardinality_table(max_rank=args.n, cap=args.cap):
                 print(f"{n}\t{count}")
             return EXIT_OK

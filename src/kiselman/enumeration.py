@@ -93,12 +93,15 @@ def _automaton(n: int, cap: int) -> tuple[int, int, dict[int, list[tuple[int, in
     bits are set.  An absent letter behaves exactly like one with both bits
     set, so it is stored as such and the start state has every bit set.
 
-    Raises ``BudgetExceededError`` iff K_n has more than ``cap`` elements.
-    Each state is reached by a canonical word of its own, so there are at
-    most |K_n| states, and more than ``cap`` of them already decide that.
+    Raises ``ValueError`` if ``cap`` is negative, and ``BudgetExceededError``
+    iff K_n has more than ``cap`` elements.  Each state is reached by a
+    canonical word of its own, so there are at most |K_n| states, and more
+    than ``cap`` of them already decide that.
     The words are finite in number, so the automaton is acyclic: its path
     counts are summed children first, on an explicit stack.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
     start = (1 << 2 * n) - 1
     shift = {v: 2 * (v - 1) for v in range(1, n + 1)}
     # the bits letter v sets in every other letter, and the mask clearing v's own

@@ -132,34 +132,12 @@ def check_tau_antiautomorphism(samples=300):
     return True
 
 
-def check_matrix_monoid_closure(samples=200):
-    rng = random.Random(17)
-    for n in RANKS:
-        found = 0
-        while found < samples:
-            m1 = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
-            m2 = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
-            if not (morphisms.dn_member(m1) and morphisms.dn_member(m2)):
-                continue
-            found += 1
-            if not morphisms.dn_member(morphisms.dn_product(m1, m2)):
-                return False
-        ident = morphisms.identity_matrix(n)
-        if morphisms.dn_product(ident, m1) != m1:
-            return False
-    return True
-
-
 def check_deletion_is_word_filter():
     for n in RANKS:
         for subset in _subsets(n):
-            spec = morphisms.deletion_matrix(n, subset)
             for w in _all_words(n, 5):
-                x = core.reduce(n, w)
-                fast = morphisms.delete(subset, x)
-                slow = morphisms.apply_endomorphism(spec, x)
                 via_word = core.reduce(n, morphisms.word_delete(subset, w))
-                if fast != slow or fast != via_word:
+                if morphisms.delete(subset, core.reduce(n, w)) != via_word:
                     return False
     return True
 
@@ -462,8 +440,7 @@ CHECKS = [
     ("high powers collapse to the content idempotent", check_power_collapse),
     ("content is a union homomorphism", check_content_homomorphism),
     ("tau is an involutive antiautomorphism", check_tau_antiautomorphism),
-    ("pattern-avoiding Boolean matrices form a monoid", check_matrix_monoid_closure),
-    ("deletion agrees with word filtering and matrix action", check_deletion_is_word_filter),
+    ("deletion agrees with word filtering", check_deletion_is_word_filter),
     ("deletions compose by union and commute", check_deletion_composition),
     ("deleting from an idempotent removes indices", check_deletion_of_idempotents),
     ("one-step truncation identity under right a_m", check_truncation_chain_step),

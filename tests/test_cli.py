@@ -121,6 +121,15 @@ def test_usage_errors(capsys):
 def test_budget_exit_code(capsys):
     code, _ = capture(capsys, ["enumerate", "--n", "4", "--cap", "10"])
     assert code == 3
+    assert capture(capsys, ["enumerate", "--n", "3", "--cap", "0"])[0] == 3
+
+
+@pytest.mark.parametrize("table", [[], ["--table"]], ids=["list", "table"])
+def test_negative_cap_is_a_usage_error(table, capsys):
+    assert run(["enumerate", "--n", "3", "--cap", "-5", *table]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_ball_past_the_cap_is_refused_before_enumerating(capsys):
@@ -330,6 +339,28 @@ def test_format_is_refused_where_it_has_no_effect(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --format json" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "2"],
+    ["ball", "--n", "2", "--r", "1"],
+    ["sphere", "--n", "2", "--r", "1"],
+    ["rset", "--n", "2"],
+    ["chain", "--n", "2", "--p", "0.5,0.5"],
+    ["pmf", "--n", "2", "--p", "0.5,0.5", "--k", "3"],
+], ids=["enumerate", "ball", "sphere", "rset", "chain", "pmf"])
+def test_tsv_is_refused_where_it_has_no_effect(argv, capsys):
+    assert run(argv + ["--format", "tsv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'tsv'" in captured.err
+
+
+def test_table_takes_no_json_format(capsys):
+    assert run(["enumerate", "--n", "3", "--table", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_verify_rank_must_match_report(tmp_path, capsys):

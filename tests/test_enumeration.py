@@ -24,6 +24,13 @@ def test_cap_flags_incomplete():
     assert len(enumeration.enumerate_elements(3, cap=KNOWN_SIZES[3])) == KNOWN_SIZES[3]
 
 
+def test_negative_cap_is_refused():
+    with pytest.raises(ValueError, match="cap"):
+        enumeration.enumerate_elements(3, cap=-5)
+    with pytest.raises(ValueError, match="cap"):
+        enumeration.cardinality_table(max_rank=3, cap=-5)
+
+
 def test_walk_matches_bfs_at_rank_6():
     walked = enumeration.enumerate_elements(6).elements
     assert walked == selftest.bfs_elements(6)
