@@ -237,9 +237,10 @@ def _dispatch(args) -> int:
     elif args.command == "simulate":
         from kiselman import stochastic
 
-        p = _probs(args)
-        report = stochastic.simulate(args.n, p, trials=args.trials, seed=args.seed, mode=args.mode)
+        p = stochastic.validate_simulation(args.n, _probs(args), args.trials, args.seed, args.mode)
+        # a pmf past its budget is refused before any trial runs
         pmf = stochastic.exact_hitting_pmf(p)
+        report = stochastic.simulate(args.n, p, trials=args.trials, seed=args.seed, mode=args.mode)
         tv_bound = stochastic.tv_tolerance(pmf, report.trials)
         verdict = stochastic.verify_distribution(report, pmf, tv_bound)
         payload = json.loads(report.to_json())

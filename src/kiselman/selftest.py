@@ -407,15 +407,21 @@ def check_pmf_mean():
 
 
 def check_simulation_consistency():
-    # the vectorised stream seeding is numpy's own, across a 32-bit word boundary too
+    # the vectorised stream seeding and the lane draws are numpy's own,
+    # across a 32-bit word boundary too
     for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**70 + 3):
         for start, stop in ((0, 2100), (2**32 - 3, 2**32 + 3)):
             streams = stochastic._trial_streams(seed, start, stop)
-            if len(streams) != stop - start:
+            if any(len(column) != stop - start for column in streams):
                 return False
-            for trial, (state, inc) in zip(range(start, stop), streams):
+            draws, _ = stochastic._lane_draws(streams, 16)
+            state_hi, state_lo, inc_hi, inc_lo = (column.tolist() for column in streams)
+            for lane, trial in enumerate(range(start, stop)):
                 rng = np.random.default_rng([seed, trial])
-                if rng.bit_generator.state["state"] != {"state": state, "inc": inc}:
+                if rng.bit_generator.state["state"] != {
+                    "state": state_hi[lane] << 64 | state_lo[lane],
+                    "inc": inc_hi[lane] << 64 | inc_lo[lane],
+                } or not np.array_equal(rng.random(16), draws[lane]):
                     return False
     p = (1 / 3, 1 / 3, 1 / 3)
     rep1 = stochastic.simulate(3, p, trials=2000, seed=12345, mode="full")
@@ -461,7 +467,7 @@ CHECKS = [
     ("partial products stabilize to the content idempotent", check_partial_product_stabilization),
     ("chain powers agree with geometric convolution", check_chain_vs_convolution),
     ("pmf mean equals the sum of reciprocal probabilities", check_pmf_mean),
-    ("trial streams equal default_rng's; seeded runs reproduce and verify",
+    ("trial streams and lane draws equal default_rng's; seeded runs reproduce and verify",
      check_simulation_consistency),
 ]
 

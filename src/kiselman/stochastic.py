@@ -10,10 +10,10 @@ sum of n independent geometric variables with success probabilities p_i.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +29,12 @@ PMF_MAX_K = 1_000_000  # largest pmf truncation; (1 - q, q) with q = 3e-5 needs 
 STEP_BUDGET = 1_000_000  # most steps one simulated trial may take
 TV_FAILURE_PROB = 1e-3  # chance that an exact sampler exceeds tv_tolerance
 SEED_CHUNK = 1024  # trials whose streams one vectorised seeding pass computes
+PASS_DRAWS = 1 << 14  # most draws one pass of the lane kernel computes; >= SEED_CHUNK
 
 # numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -187,6 +189,8 @@ def transition_matrix(p) -> TransitionMatrix:
 
 def chain_hitting_cdf(p, k_max: int) -> np.ndarray:
     """P(T <= k) for k = 0..k_max via powers of the level chain."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     chain = transition_matrix(p)
     dist = chain.initial.copy()
     cdf = np.empty(k_max + 1)
@@ -379,19 +383,64 @@ def _windows(start: int, stop: int, size: int):
         start = end
 
 
-def _trial_streams(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """The PCG64 ``(state, inc)`` of ``default_rng([seed, trial])`` for every
-    trial in [start, stop), bit for bit.
+def _halves(value: int) -> tuple[np.ndarray, np.ndarray]:
+    """A 128-bit int as one-element uint64 arrays (high, low)."""
+    return np.array([value >> 64 & _MASK64], np.uint64), np.array([value & _MASK64], np.uint64)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """a·b mod 2^128 on uint64 (high, low) halves, broadcast.  The high half
+    of a_lo·b_lo comes from its four 32 x 32-bit partial products."""
+    a0, a1 = a_lo & _LOW32, a_lo >> _SHIFT32
+    b0, b1 = b_lo & _LOW32, b_lo >> _SHIFT32
+    low_low, low_high, high_low = a0 * b0, a0 * b1, a1 * b0
+    middle = (low_low >> _SHIFT32) + (low_high & _LOW32) + (high_low & _LOW32)
+    high = a1 * b1 + (low_high >> _SHIFT32) + (high_low >> _SHIFT32) + (middle >> _SHIFT32)
+    high += a_lo * b_hi
+    high += a_hi * b_lo
+    return high, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """a + b mod 2^128 on uint64 (high, low) halves, broadcast."""
+    low = a_lo + b_lo
+    return a_hi + b_hi + (low < b_lo), low
+
+
+@functools.cache
+def _jump_table() -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) halves of G_k = 1 + M + ... + M^(k-1) mod 2^128 for
+    k = 1..PASS_DRAWS, M the PCG64 multiplier, built by doubling:
+    G_(m+j) = G_m + M^m·G_j.  Read-only, built on first use."""
+    table = np.zeros(1, np.uint64), np.ones(1, np.uint64)
+    while len(table[1]) < PASS_DRAWS:
+        m = len(table[1])
+        tail = _mul128(*_halves(pow(_PCG64_MULT, m, 1 << 128)), *table)
+        tail = _add128(table[0][m - 1:], table[1][m - 1:], *tail)
+        table = tuple(np.concatenate(halves) for halves in zip(table, tail))
+    for half in table:
+        half.flags.writeable = False
+    return table
+
+
+_MULT = _halves(_PCG64_MULT)
+_MULT_LESS_ONE = _halves(_PCG64_MULT - 1)
+
+
+def _trial_streams(seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """The PCG64 state and increment of ``default_rng([seed, trial])`` for
+    every trial in [start, stop), bit for bit, as four uint64 arrays
+    ``(state_hi, state_lo, inc_hi, inc_lo)``.
 
     numpy hashes the entropy words of ``[seed, trial]`` into a pool of four
     uint32 words (``SeedSequence``: ``hashmix`` then ``mix``), draws
     ``generate_state(4, uint64)`` from the pool, and seeds PCG64 with it
     (``srandom``: inc = 2·initseq + 1, state = (inc + initstate)·M + inc,
-    mod 2^128).  Here the uint32 steps run on arrays with one lane per trial;
+    mod 2^128).  Here every step runs on arrays with one lane per trial;
     the hash constants do not depend on the data, so they are Python ints.
     """
     seed_words = _words(seed)
-    streams: list[tuple[int, int]] = []
+    windows = []
     for lo, hi in _windows(start, stop, stop - start):
         lanes = hi - lo
         low = np.arange(lanes, dtype=np.uint32) + np.uint32(lo & _MASK32)
@@ -430,12 +479,65 @@ def _trial_streams(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
             value = value * np.uint32(hash_const)
             state32.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
         # uint64 words 0, 1 are initstate (high, low); 2, 3 are initseq
-        state64 = [(state32[2 * k] | state32[2 * k + 1] << np.uint64(32)).tolist()
-                   for k in range(4)]
-        for s_hi, s_lo, q_hi, q_lo in zip(*state64):
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            streams.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return streams
+        init_hi, init_lo, seq_hi, seq_lo = (state32[2 * k] | state32[2 * k + 1] << _SHIFT32
+                                            for k in range(4))
+        inc = (seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1))
+        state = _add128(*_mul128(*_add128(*inc, init_hi, init_lo), *_MULT), *inc)
+        windows.append((*state, *inc))
+    return tuple(np.concatenate(column) for column in zip(*windows))
+
+
+def _lane_draws(streams, size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The next ``size`` doubles of every lane of ``streams`` (the four
+    arrays of :func:`_trial_streams`) as a (lanes, size) array, and the
+    streams advanced past them.
+
+    Draw k of a lane reads the state k steps ahead, M^k·s + G_k·inc.  As
+    M^k = 1 + (M - 1)·G_k, that is s + G_k·d with d = (M - 1)·s + inc, so one
+    table of G_k and one 128-bit product per draw give the whole block.  The
+    state's XSL-RR output u becomes (u >> 11)·2^-53, as in numpy's
+    ``Generator.random``.
+    """
+    s_hi, s_lo, inc_hi, inc_lo = streams
+    d_hi, d_lo = _add128(*_mul128(s_hi, s_lo, *_MULT_LESS_ONE), inc_hi, inc_lo)
+    g_hi, g_lo = _jump_table()
+    x_hi, x_lo = _mul128(d_hi[:, None], d_lo[:, None], g_hi[:size], g_lo[:size])
+    x_hi, x_lo = _add128(s_hi[:, None], s_lo[:, None], x_hi, x_lo)
+    # XSL-RR: (high ^ low) rotated right by the top 6 bits of the state
+    rotation = x_hi >> np.uint64(58)
+    out = x_hi ^ x_lo
+    out = out >> rotation | out << (-rotation & np.uint64(63))
+    draws = (out >> np.uint64(11)).astype(np.float64)
+    draws *= 2.0**-53
+    return draws, (x_hi[:, -1].copy(), x_lo[:, -1].copy(), inc_hi, inc_lo)
+
+
+def _bounds(p: np.ndarray) -> np.ndarray:
+    """Cumulative bounds of the letters: a draw u in [0, 1) is letter
+    1 + #{bounds <= u}.  The running sums are capped at 1 and the last is 1
+    exactly, so no draw maps past letter n however p rounds."""
+    bounds = np.minimum(np.cumsum(p), 1.0)
+    bounds[-1] = 1.0
+    return bounds
+
+
+def _letters(bounds: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    return np.searchsorted(bounds, draws, side="right") + 1
+
+
+def validate_simulation(n: int, p, trials: int, seed: int, mode: str) -> np.ndarray:
+    """The checks :func:`simulate` makes before any trial; returns p as an array."""
+    p = validate_probabilities(p)
+    require_positive(p)
+    if len(p) != n:
+        raise ValueError(f"probability vector length {len(p)} != n = {n}")
+    if not _is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    if operator.index(seed) < 0:
+        raise ValueError(f"the seed must be >= 0, got {seed}")
+    if mode not in ("level", "full"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return p
 
 
 def simulate(
@@ -447,94 +549,57 @@ def simulate(
 ) -> SimulationReport:
     """Run seeded iid-product trials and record hitting times of the zero.
 
-    ``mode="level"`` tracks only the level via ``g``; ``mode="full"`` also
-    multiplies out the product and asserts, at every step, that its level
-    by definition equals the level of the chain, and at the end of the
-    trial that the product is the zero.  For n >= 4 the full crosscheck
-    is sampled (every 100th trial) since canonical words grow with n.
-    Tracked steps read a right-Cayley table built over the states the
-    trials visit, for this call only: it maps (x, i) to x·a_i and the
-    level by definition of x·a_i, so each visited pair is multiplied and
-    checked once and at most min(n·|K_n|, tracked steps) pairs are held.
-    A trial longer than STEP_BUDGET steps raises ``BudgetExceededError``.
-    Reports are deterministic functions of (n, p, trials, seed, mode).
+    Trial t reads the stream of ``default_rng([seed, t])``.  The trials run
+    as lanes, SEED_CHUNK at a time: :func:`_trial_streams` seeds the lanes
+    on arrays, :func:`_lane_draws` draws a block of every lane's stream at
+    once, and a scan over the levels n, ..., 1 finds in each lane's letters
+    the first a_l after it reached level l.  That gives the hitting times
+    and the chain's stay counts; lanes not yet absorbed go on with larger
+    blocks, at most PASS_DRAWS draws a pass.  numpy seeds the first trial of
+    every chunk and draws its first block as well, and a difference raises
+    ``CrosscheckError``.  A trial longer than STEP_BUDGET steps raises
+    ``BudgetExceededError`` naming the lowest such trial.
 
-    Trial t draws from the stream of ``default_rng([seed, t])``: one PCG64
-    per call is set to the state that :func:`_trial_streams` computes for
-    SEED_CHUNK trials at a time.  The first trial of each chunk is seeded
-    by numpy as well, and a differing state raises ``CrosscheckError``.
+    ``mode="full"`` also replays the letters of tracked trials (all for
+    n <= 3, every 100th above) in Python: the walk multiplies out the
+    product, asserts at every step that its level by definition equals the
+    chain's level ``g``, and at the end that the walk reaches the zero
+    exactly at the scan's hitting time.  The walk reads a right-Cayley
+    table built over the states it visits, for this call only: (x, i) maps
+    to x·a_i and the level by definition of x·a_i, so each visited pair is
+    multiplied and checked once.  Reports are deterministic functions of
+    (n, p, trials, seed, mode).
     """
-    p = validate_probabilities(p)
-    require_positive(p)
-    if len(p) != n:
-        raise ValueError(f"probability vector length {len(p)} != n = {n}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if mode not in ("level", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
+    p = validate_simulation(n, p, trials, seed, mode)
     stride = 1 if n <= 3 else 100
-
-    cum = np.cumsum(p).tolist()
-    histogram: dict[int, int] = {}
-    transition_counts: dict[int, list[int]] = {i: [0, 0] for i in range(1, n + 1)}
-    total = 0.0
-    total_sq = 0.0
+    bounds = _bounds(p)
+    # a first block near the mean hitting time sum(1/p_i) absorbs most lanes
+    first = math.ceil(min(sum(1.0 / v for v in p.tolist()), PASS_DRAWS))
+    times = []
+    stays = np.zeros(n + 1, np.int64)
     crosscheck_trials = 0
     crosscheck_failures = 0
-    e = unit(n)
-    gens = [idempotent(n, {i}) for i in range(1, n + 1)]
-    right_cayley: dict[tuple[Element, int], tuple[Element, int]] = {}
-    bitgen = np.random.PCG64(0)  # reseeded before every trial
-    rng = np.random.Generator(bitgen)
+    right_cayley = _RightCayley(n) if mode == "full" else None
 
     for lo, hi in _windows(0, trials, SEED_CHUNK):
-        # numpy seeds the window's first trial itself; this also rejects
-        # a seed numpy refuses, before any draw
-        expected = np.random.default_rng([seed, lo]).bit_generator.state["state"]
+        # numpy seeds the window's first trial itself, a check on the lanes
+        rng = np.random.default_rng([seed, lo])
         streams = _trial_streams(seed, lo, hi)
-        if expected != {"state": streams[0][0], "inc": streams[0][1]}:
-            raise CrosscheckError(
-                f"stream of trial {lo} differs from default_rng([{seed}, {lo}])"
-            )
-        for trial, (state, inc) in enumerate(streams, start=lo):
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            track_element = mode == "full" and trial % stride == 0
-            lvl = n
-            steps = 0
-            prod = e
-            block: list[float] = []
-            while lvl > 0:
-                if not block:
-                    # any block size consumes the same doubles; 16 measured fastest
-                    block = rng.random(16).tolist()
-                    block.reverse()
-                i = bisect_right(cum, block.pop()) + 1
-                steps += 1
-                if steps > STEP_BUDGET:
-                    raise BudgetExceededError(
-                        f"trial {trial} exceeded step budget {STEP_BUDGET}; "
-                        "check the probability vector"
-                    )
-                nxt = g(lvl, i)
-                transition_counts[lvl][0 if nxt == lvl else 1] += 1
-                if track_element:
-                    step = right_cayley.get((prod, i))
-                    if step is None:
-                        after = multiply(prod, gens[i - 1])
-                        step = right_cayley[prod, i] = (after, level_by_definition(after))
-                    prod, prod_level = step
-                    if prod_level != nxt:
-                        crosscheck_failures += 1
-                lvl = nxt
-            if track_element:
-                crosscheck_trials += 1
-                if prod.letters != tuple(range(n, 0, -1)):
-                    crosscheck_failures += 1
-            histogram[steps] = histogram.get(steps, 0) + 1
-            total += steps
-            total_sq += steps * steps
+        state, inc = (int(streams[k][0]) << 64 | int(streams[k + 1][0]) for k in (0, 2))
+        if rng.bit_generator.state["state"] != {"state": state, "inc": inc}:
+            raise CrosscheckError(f"stream of trial {lo} differs from default_rng([{seed}, {lo}])")
+        tracked = range(-lo % stride, hi - lo, stride) if mode == "full" else range(0)
+        window_times, rows = _scan(streams, n, bounds, first, tracked, stays, rng, seed, lo)
+        times.append(window_times)
+        for lane, letters in rows.items():
+            crosscheck_trials += 1
+            crosscheck_failures += _walk(right_cayley, letters, int(window_times[lane]))
 
+    times = np.concatenate(times)
+    values, counts = np.unique(times, return_counts=True)
+    # running float sums in trial order, the rounding of a per-trial loop
+    total = float(np.cumsum(times, dtype=np.float64)[-1])
+    total_sq = float(np.cumsum(times * times, dtype=np.float64)[-1])
     mean = total / trials
     variance = total_sq / trials - mean * mean
     report = SimulationReport(
@@ -544,12 +609,13 @@ def simulate(
         seed=seed,
         mode=mode,
         rng=RNG_ALGORITHM,
-        histogram=histogram,
+        histogram=dict(zip(values.tolist(), counts.tolist())),
         mean=mean,
         variance=variance,
         crosscheck_trials=crosscheck_trials,
         crosscheck_failures=crosscheck_failures,
-        transition_counts=transition_counts,
+        # every trial leaves every level once
+        transition_counts={lvl: [int(stays[lvl]), trials] for lvl in range(1, n + 1)},
     )
     if crosscheck_failures:
         raise CrosscheckError(
@@ -557,6 +623,104 @@ def simulate(
             f"{report.to_json()}"
         )
     return report
+
+
+def _scan(streams, n, bounds, size, tracked, stays, rng, seed, lo):
+    """Hitting times of the lanes of ``streams``, trials lo, lo + 1, ...
+
+    Adds each level's stay count to ``stays`` and returns the times with
+    the letters each tracked lane drew, up to its hitting time at least.
+    Lane 0's first block must equal ``rng.random``'s.
+    """
+    times = np.zeros(len(streams[0]), np.int64)
+    active = np.arange(len(times))
+    level = np.full(len(times), n)
+    rows = {lane: [] for lane in tracked}
+    edges = [0.0, *bounds.tolist()]
+    steps = 0
+    while active.size:
+        size = min(size, PASS_DRAWS // active.size, STEP_BUDGET - steps)
+        if size == 0:
+            raise BudgetExceededError(
+                f"trial {lo + int(active[0])} exceeded step budget {STEP_BUDGET}; "
+                "check the probability vector"
+            )
+        draws, streams = _lane_draws(streams, size)
+        if steps == 0 and not np.array_equal(draws[0], rng.random(size)):
+            raise CrosscheckError(f"stream of trial {lo} differs from default_rng([{seed}, {lo}])")
+        if rows:
+            chosen = np.flatnonzero(np.isin(active, tracked))
+            for lane, row in zip(active[chosen].tolist(), _letters(bounds, draws[chosen]).tolist()):
+                rows[lane] += row
+        # pos: each lane's last step in this block so far, -1 before the first
+        pos = np.full(active.size, -1)
+        columns = np.arange(size)
+        for lvl in range(n, 0, -1):
+            at = np.flatnonzero(level == lvl)
+            if not at.size:
+                continue
+            block = draws if at.size == active.size else draws[at]
+            # letter lvl is a draw in [edges[lvl - 1], edges[lvl])
+            hit = block >= edges[lvl - 1]
+            hit &= block < edges[lvl]
+            hit &= columns > pos[at, None]
+            first = hit.argmax(axis=1)
+            found = hit[np.arange(at.size), first]
+            end = np.where(found, first, size)
+            stays[lvl] += int((end - pos[at]).sum()) - at.size
+            pos[at] = end
+            level[at[found]] = lvl - 1
+        done = level == 0
+        times[active[done]] = steps + pos[done] + 1
+        keep = ~done
+        active, level = active[keep], level[keep]
+        streams = tuple(column[keep] for column in streams)
+        steps += size
+        size *= 2
+    return times, rows
+
+
+class _RightCayley:
+    """The right-Cayley table of one ``simulate`` call over the elements its
+    walks visit: (x, i) maps to x·a_i and the level by definition of x·a_i,
+    so each visited pair is multiplied and checked once.  Elements are
+    numbered in visiting order, e first."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.generators = [idempotent(n, {i}) for i in range(1, n + 1)]
+        self.elements = [unit(n)]
+        self.ids = {self.elements[0]: 0}
+        self.steps: dict[int, tuple[int, int]] = {}  # x·(n + 1) + i -> (id of x·a_i, level)
+
+    def add(self, x: int, i: int) -> tuple[int, int]:
+        after = multiply(self.elements[x], self.generators[i - 1])
+        y = self.ids.setdefault(after, len(self.elements))
+        if y == len(self.elements):
+            self.elements.append(after)
+        step = self.steps[x * (self.n + 1) + i] = (y, level_by_definition(after))
+        return step
+
+
+def _walk(table: _RightCayley, letters: list[int], hitting_time: int) -> int:
+    """Crosscheck failures of one tracked trial: steps where the product's
+    level by definition differs from the chain's level, plus one unless the
+    walk first reaches the zero at ``hitting_time``."""
+    n = table.n
+    steps, width = table.steps, n + 1
+    failures = 0
+    lvl = n
+    x = t = 0
+    for t, i in enumerate(letters[:hitting_time], start=1):
+        x, prod_level = steps.get(x * width + i) or table.add(x, i)
+        lvl = g(lvl, i)
+        if prod_level != lvl:
+            failures += 1
+        if lvl == 0:
+            break
+    if t != hitting_time or lvl != 0 or table.elements[x].letters != tuple(range(n, 0, -1)):
+        failures += 1
+    return failures
 
 
 @dataclass(frozen=True)

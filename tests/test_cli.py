@@ -237,6 +237,16 @@ def test_simulation_step_budget_exit_code(capsys):
     assert "budget exceeded" in captured.err
 
 
+def test_trial_step_budget_exit_code(monkeypatch, capsys):
+    # the pmf fits its budget; a trial longer than STEP_BUDGET steps does not
+    monkeypatch.setattr(stochastic, "STEP_BUDGET", 3)
+    argv = ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "100", "--seed", "1"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeded step budget 3" in captured.err
+
+
 def test_crosscheck_failure_exit_code(monkeypatch, capsys):
     def diverging(*args, **kwargs):
         raise stochastic.CrosscheckError("1 level/product mismatches")
@@ -253,8 +263,7 @@ def test_wrong_stream_seed_exit_code(monkeypatch, capsys):
 
     def corrupted(seed, start, stop):
         streams = trial_streams(seed, start, stop)
-        state, inc = streams[0]
-        streams[0] = (state, inc ^ 2)
+        streams[3][0] ^= np.uint64(2)  # the low half of trial 0's increment
         return streams
 
     monkeypatch.setattr(stochastic, "_trial_streams", corrupted)
@@ -263,6 +272,41 @@ def test_wrong_stream_seed_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("verification failed: stream of trial 0 differs")
+
+
+def test_corrupted_jump_table_exit_code(monkeypatch, capsys):
+    jump_table = stochastic._jump_table
+
+    def corrupted():
+        high, low = (column.copy() for column in jump_table())
+        low[0] ^= np.uint64(1 << 40)
+        return high, low
+
+    monkeypatch.setattr(stochastic, "_jump_table", corrupted)
+    argv = ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "10", "--seed", "1"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: stream of trial 0 differs")
+
+
+def test_impossible_pmf_is_refused_before_any_trial(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran although the pmf is past its budget")
+
+    monkeypatch.setattr(stochastic, "simulate", never)
+    argv = ["simulate", "--n", "2", "--p", "0.999999,0.000001", "--trials", "1", "--seed", "0"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: pmf tail mass")
+
+
+@pytest.mark.parametrize("extra", [["--trials", "0", "--seed", "0"], ["--trials", "1", "--seed", "-1"]])
+def test_bad_trials_or_seed_is_a_usage_error_before_the_pmf(extra, capsys):
+    argv = ["simulate", "--n", "2", "--p", "0.999999,0.000001", *extra]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_negative_seed_exit_code(capsys):

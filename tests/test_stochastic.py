@@ -144,6 +144,12 @@ def test_pmf_truncation_must_be_nonnegative():
         st.exact_hitting_pmf([0.5, 0.5], k_max=-1)
 
 
+def test_chain_cdf_truncation_must_be_nonnegative():
+    assert st.chain_hitting_cdf([0.5, 0.5], 0).tolist() == [0.0]
+    with pytest.raises(ValueError, match="k_max"):
+        st.chain_hitting_cdf([0.5, 0.5], -1)
+
+
 def test_pmf_support_budget():
     with pytest.raises(BudgetExceededError):
         st.exact_hitting_pmf([0.5, 0.5], k_max=st.PMF_MAX_K + 1)
@@ -175,6 +181,15 @@ def test_simulation_reproducible():
     # spans several seeding chunks
     (3, (0.2, 0.3, 0.5), 3000, 901, "level",
      "cde3c25183e7c047808b6cc8cc3914c0093f891334637180b326fdeac0335640"),
+    # lanes that run for thousands of steps, in many passes
+    (2, (0.999, 0.001), 200, 3, "level",
+     "b04059eda5d7c06e8878ad0340344613076ace7c90078b2a6f3be310cefccece"),
+    # ten levels; trials 0, 100 and 200 are walked
+    (10, (0.1,) * 10, 300, 10, "full",
+     "6b9ef3e33177f90a7b8031757e47197e477f65e5c37d051d95c7782b6aab4bdf"),
+    # three seeding chunks, the last of one trial; every trial is walked
+    (3, (0.2, 0.3, 0.5), 2 * st.SEED_CHUNK + 1, 2**32 + 5, "full",
+     "46eb08d85198bff37bf096aea652af00f06285c7670d4ee395f916a975632be2"),
 ])
 def test_simulation_report_bytes(n, p, trials, seed, mode, digest):
     report = st.simulate(n, p, trials=trials, seed=seed, mode=mode)
@@ -192,14 +207,115 @@ def test_wrong_stream_seed_is_caught(monkeypatch):
     def corrupted(seed, start, stop):
         streams = trial_streams(seed, start, stop)
         if start == st.SEED_CHUNK:  # the second chunk's first state only
-            state, inc = streams[0]
-            streams[0] = (state ^ 1, inc)
+            streams[1][0] ^= np.uint64(1)  # the low half of the state
         return streams
 
     monkeypatch.setattr(st, "_trial_streams", corrupted)
     st.simulate(2, (0.5, 0.5), trials=st.SEED_CHUNK, seed=1, mode="level")
     with pytest.raises(st.CrosscheckError, match=f"trial {st.SEED_CHUNK} differs"):
         st.simulate(2, (0.5, 0.5), trials=st.SEED_CHUNK + 1, seed=1, mode="level")
+
+
+def _lanes(pairs):
+    """(state, inc) ints as the four uint64 arrays of st._trial_streams."""
+    mask = (1 << 64) - 1
+    return tuple(np.array(column, np.uint64) for column in zip(
+        *[(s >> 64, s & mask, i >> 64, i & mask) for s, i in pairs]))
+
+
+TOP = (1 << 128) - 1
+EDGE_STREAMS = [(0, 1), (0, TOP), (TOP, 1), (TOP, TOP), (1 << 127, 1 << 64 | 1)]
+
+
+@pytest.mark.parametrize("size", [1, 16, 1000])
+def test_lane_draws_equal_numpy(size):
+    rng = np.random.default_rng(size)
+    pairs = [(int.from_bytes(rng.bytes(16), "little"), int.from_bytes(rng.bytes(16), "little") | 1)
+             for _ in range(6)] + EDGE_STREAMS
+    draws, advanced = st._lane_draws(_lanes(pairs), size)
+    assert draws.shape == (len(pairs), size)
+    for lane, (state, inc) in enumerate(pairs):
+        bitgen = np.random.PCG64()
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        assert np.array_equal(draws[lane], np.random.Generator(bitgen).random(size))
+        # the advanced lane is the generator's state after its size draws
+        after = [int(column[lane]) for column in advanced]
+        assert bitgen.state["state"] == {"state": after[0] << 64 | after[1],
+                                         "inc": after[2] << 64 | after[3]}
+
+
+def test_corrupted_jump_table_is_caught(monkeypatch):
+    jump_table = st._jump_table
+
+    def corrupted():
+        high, low = (column.copy() for column in jump_table())
+        low[0] ^= np.uint64(1 << 40)  # G_1, which every lane's first draw reads
+        return high, low
+
+    monkeypatch.setattr(st, "_jump_table", corrupted)
+    with pytest.raises(st.CrosscheckError, match="stream of trial 0 differs"):
+        st.simulate(2, (0.5, 0.5), trials=10, seed=1, mode="level")
+
+
+@pytest.mark.parametrize("p", [(0.1,) * 10, (0.5, 0.5 - 5e-13)])
+def test_top_draw_maps_to_the_last_letter(p):
+    # the running sums of these p end below 1; the bounds must still cover [0, 1)
+    bounds = st._bounds(st.validate_probabilities(p))
+    top = np.nextafter(1.0, 0.0)
+    assert bounds[-1] == 1.0
+    assert st._letters(bounds, np.array([0.0, top])).tolist() == [1, len(p)]
+
+
+def _reference_run(n, p, trials, seed):
+    """Per-trial hitting times and stay counts, one default_rng draw at a time."""
+    cum = np.cumsum(p).tolist()
+    times, stays = [], [0] * (n + 1)
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        lvl, steps = n, 0
+        while lvl:
+            letter = int(np.searchsorted(cum, rng.random(), side="right")) + 1
+            steps += 1
+            if letter == lvl:
+                lvl -= 1
+            else:
+                stays[lvl] += 1
+        times.append(steps)
+    return times, stays
+
+
+@pytest.mark.parametrize("n, p, trials, seed", [
+    (4, (0.4, 0.3, 0.2, 0.1), 300, 5),
+    (2, (0.99, 0.01), 50, 6),
+])
+def test_lane_scan_equals_a_one_draw_walk(n, p, trials, seed):
+    times, stays = _reference_run(n, p, trials, seed)
+    report = st.simulate(n, p, trials=trials, seed=seed, mode="level")
+    assert report.histogram == {t: times.count(t) for t in set(times)}
+    assert report.transition_counts == {lvl: [stays[lvl], trials] for lvl in range(1, n + 1)}
+
+
+def test_step_budget_names_the_lowest_trial(monkeypatch):
+    times, _ = _reference_run(3, (0.2, 0.3, 0.5), 200, 12)
+    budget = sorted(times)[-5]  # a handful of trials run past it
+    monkeypatch.setattr(st, "STEP_BUDGET", budget)
+    lowest = next(t for t, steps in enumerate(times) if steps > budget)
+    with pytest.raises(BudgetExceededError, match=f"trial {lowest} exceeded step budget"):
+        st.simulate(3, (0.2, 0.3, 0.5), trials=200, seed=12, mode="level")
+    monkeypatch.setattr(st, "STEP_BUDGET", max(times))
+    assert st.simulate(3, (0.2, 0.3, 0.5), trials=200, seed=12, mode="level").trials == 200
+
+
+def test_step_budget_of_a_diverging_trial():
+    with pytest.raises(BudgetExceededError, match=f"trial 0 exceeded step budget {st.STEP_BUDGET}"):
+        st.simulate(2, (1.0 - 1e-8, 1e-8), trials=2, seed=1, mode="level")
+
+
+@pytest.mark.parametrize("trials", [0, -3, True, 2.5, "10", None])
+def test_trials_must_be_a_positive_int(trials):
+    with pytest.raises(ValueError, match="trials"):
+        st.simulate(2, (0.5, 0.5), trials=trials, seed=0, mode="level")
 
 
 def test_simulation_full_mode_crosschecks():
@@ -280,6 +396,20 @@ def test_wrong_product_is_caught(monkeypatch):
     monkeypatch.setattr(st, "multiply", dropping)
     with pytest.raises(st.CrosscheckError):
         st.simulate(3, (0.2, 0.3, 0.5), trials=300, seed=7, mode="full")
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_scan_disagreeing_with_the_walk_is_caught(shift, monkeypatch):
+    scan = st._scan
+
+    def shifted(*args):
+        times, rows = scan(*args)
+        times[5] += shift  # trial 5's walk reaches the zero at another step
+        return times, rows
+
+    monkeypatch.setattr(st, "_scan", shifted)
+    with pytest.raises(st.CrosscheckError, match="1 level/product mismatches"):
+        st.simulate(3, (0.2, 0.3, 0.5), trials=10, seed=7, mode="full")
 
 
 def test_crosscheck_stride_for_rank4():
