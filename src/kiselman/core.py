@@ -109,12 +109,18 @@ def content(x: Element) -> frozenset[int]:
 
 
 def power(x: Element, k: int) -> Element:
-    """x^k for k >= 1; equals e_{c(x)} once k >= |c(x)|."""
+    """x^k for k >= 1; equals e_{c(x)} once k >= |c(x)|.
+
+    Stops at the first power with x^(j+1) = x^j: every later power equals
+    it, so at most |c(x)| + 1 products are taken whatever k is."""
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     acc = x
     for _ in range(k - 1):
-        acc = multiply(acc, x)
+        nxt = multiply(acc, x)
+        if nxt == acc:
+            break
+        acc = nxt
     return acc
 
 

@@ -12,9 +12,10 @@ The oracle materializes all words up to a length bound and computes the
 congruence generated by the defining relations by union-find, applying
 every shortening relation instance in every context.  Because each
 relation instance connects a longer word to a shorter one, processing
-words in increasing length order discovers exactly the edges available
-within the bound; running the closure at two consecutive bounds and
-comparing the restricted partitions is the slack-stability check.
+words in shortlex order discovers exactly the edges available within the
+bound.  A union keeps the shortlex-earlier root, so each class is named by
+its least word; running the closure at two consecutive bounds and
+comparing the roots of the short words is the slack-stability check.
 """
 
 from __future__ import annotations
@@ -152,15 +153,19 @@ class CongruencePartition:
 
     rank: int
     max_len: int
-    class_ids: dict  # word tuple -> class id (ids are dense, ordered by shortlex minimum)
-    num_classes: int
+    class_ids: dict  # word tuple -> class id (ids are dense, ordered by least word)
+    least_words: tuple  # class id -> the shortlex-least word of the class
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.least_words)
 
     def same_class(self, u, v) -> bool:
         return self.class_ids[tuple(u)] == self.class_ids[tuple(v)]
 
 
 def _all_words(n: int, max_len: int):
-    """All words over [n] of length 0..max_len, in increasing length order."""
+    """All words over [n] of length 0..max_len, in shortlex order."""
     yield ()
     for length in range(1, max_len + 1):
         for w in iter_product(range(1, n + 1), repeat=length):
@@ -174,12 +179,18 @@ def _subsets(n: int):
         yield from map(frozenset, combinations(items, k))
 
 
-def _closure_roots(n: int, bound_small: int, bound_large: int, keep_len: int):
-    """Union-find congruence closure; returns the root maps for words of
-    length <= keep_len at both bounds."""
-    words = list(_all_words(n, bound_large))
+def _closure_roots(n: int, max_len: int):
+    """Union-find congruence closure at bounds max_len + ORACLE_SLACK and
+    one more: the words, and the root of each word of length <= max_len at
+    both bounds.  Words are indexed in shortlex order and a union keeps the
+    smaller index, so a root is its class's least word, which is no longer
+    than any member: the root lists are equal iff the partitions are."""
+    bound = max_len + ORACLE_SLACK
+    words = list(_all_words(n, bound + 1))
     index = {w: k for k, w in enumerate(words)}
     parent = list(range(len(words)))
+    # the positions of the first words longer than max_len and than bound
+    keep, split = index[(1,) * (max_len + 1)], index[(1,) * (bound + 1)]
 
     def find(a: int) -> int:
         root = a
@@ -192,17 +203,12 @@ def _closure_roots(n: int, bound_small: int, bound_large: int, keep_len: int):
     def union(a: int, b: int) -> None:
         ra, rb = find(a), find(b)
         if ra != rb:
-            parent[rb] = ra
+            parent[max(ra, rb)] = min(ra, rb)
 
-    def snapshot() -> dict:
-        return {w: find(index[w]) for w in words if len(w) <= keep_len}
-
-    snap_small = None
-    for w in words:
-        if snap_small is None and len(w) > bound_small:
-            snap_small = snapshot()
+    for k, w in enumerate(words):
+        if k == split:
+            roots_small = [find(j) for j in range(keep)]
         length = len(w)
-        k = index[w]
         for p in range(length - 1):
             a, b = w[p], w[p + 1]
             if a == b:
@@ -216,25 +222,12 @@ def _closure_roots(n: int, bound_small: int, bound_large: int, keep_len: int):
                 if a == c and b > a:
                     # a_j a_i a_j -> a_i a_j  (j < i)
                     union(k, index[w[:p] + (b, a) + w[p + 3 :]])
-    if snap_small is None:
-        snap_small = snapshot()
-    return snap_small, snapshot()
-
-
-def _label(roots: dict) -> dict:
-    """Relabel a root map with dense ids in shortlex-first-seen order."""
-    ids: dict = {}
-    out = {}
-    for w in sorted(roots, key=lambda w: (len(w), w)):
-        root = roots[w]
-        if root not in ids:
-            ids[root] = len(ids)
-        out[w] = ids[root]
-    return out
+    return words, roots_small, [find(j) for j in range(keep)]
 
 
 def congruence_oracle(n: int, max_len: int) -> CongruencePartition:
-    """Exact congruence classes of all words of length <= max_len.
+    """Exact congruence classes of all words of length <= max_len, each
+    named by its least word.
 
     Relation instances are applied in every context within length bound
     max_len + ORACLE_SLACK; stability against bound max_len + ORACLE_SLACK
@@ -242,23 +235,27 @@ def congruence_oracle(n: int, max_len: int) -> CongruencePartition:
     """
     if n < 2:
         raise ValueError(f"rank must be at least 2, got {n}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     bound = max_len + ORACLE_SLACK
-    if n ** (bound + 1) > ORACLE_BUDGET:
-        raise BudgetExceededError(
-            f"word universe n={n}, bound={bound + 1} exceeds budget {ORACLE_BUDGET}"
-        )
-    roots_small, roots_large = _closure_roots(n, bound, bound + 1, max_len)
-    labels_small = _label(roots_small)
-    labels_large = _label(roots_large)
-    if labels_small != labels_large:
+    size = 1
+    for _ in range(bound + 1):  # n ** (bound + 1), stopped once past the budget
+        size *= n
+        if size > ORACLE_BUDGET:
+            raise BudgetExceededError(
+                f"word universe n={n}, bound={bound + 1} exceeds budget {ORACLE_BUDGET}"
+            )
+    words, roots_small, roots_large = _closure_roots(n, max_len)
+    if roots_small != roots_large:
         raise OracleInstabilityError(
             f"classes differ between slack {ORACLE_SLACK} and {ORACLE_SLACK + 1}"
         )
+    ids = {root: i for i, root in enumerate(sorted(set(roots_small)))}
     return CongruencePartition(
         rank=n,
         max_len=max_len,
-        class_ids=labels_small,
-        num_classes=len(set(labels_small.values())),
+        class_ids={words[k]: ids[root] for k, root in enumerate(roots_small)},
+        least_words=tuple(words[root] for root in ids),
     )
 
 

@@ -188,9 +188,12 @@ def transition_matrix(p) -> TransitionMatrix:
 
 
 def chain_hitting_cdf(p, k_max: int) -> np.ndarray:
-    """P(T <= k) for k = 0..k_max via powers of the level chain."""
+    """P(T <= k) for k = 0..k_max via powers of the level chain.  A
+    truncation past PMF_MAX_K raises ``BudgetExceededError``."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if k_max > PMF_MAX_K:
+        raise BudgetExceededError(f"chain truncation {k_max} exceeds budget {PMF_MAX_K}")
     chain = transition_matrix(p)
     dist = chain.initial.copy()
     cdf = np.empty(k_max + 1)

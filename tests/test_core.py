@@ -80,6 +80,15 @@ def test_power_examples():
         core.power(x, 0)
 
 
+def test_power_stops_once_it_is_idempotent(monkeypatch):
+    x = core.reduce(4, (2, 4, 1, 3))
+    calls = []
+    multiply = core.multiply
+    monkeypatch.setattr(core, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    assert core.power(x, 10**6) == core.idempotent(4, {1, 2, 3, 4})
+    assert len(calls) <= len(core.content(x)) + 1
+
+
 def test_tau_examples():
     assert core.tau(core.unit(2)) == core.unit(2)
     assert core.tau(core.generator(2, 1)) == core.generator(2, 2)

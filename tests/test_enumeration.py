@@ -74,14 +74,37 @@ def test_oracle_class_count(oracle2):
 
 
 def test_dual_method_agreement(oracle2, oracle3, universe2, universe3):
-    # the automaton walk against the congruence oracle
+    # the automaton walk against the congruence oracle: each canonical word
+    # is the least word of its class, in the same shortlex order
     assert oracle2.num_classes == len(universe2)
     assert oracle3.num_classes == len(universe3)
+    assert oracle2.least_words == tuple(x.letters for x in universe2)
+    assert oracle3.least_words == tuple(x.letters for x in universe3)
+
+
+def test_oracle_check_refuses_a_longer_congruent_word(monkeypatch):
+    # the padded word is congruent to the canonical one, but not the least
+    reduce = core.reduce
+
+    def padded(n, w):
+        letters = reduce(n, w).letters
+        return core.Element(n, letters + letters[-1:])
+
+    monkeypatch.setattr(core, "reduce", padded)
+    assert selftest.check_reduction_matches_oracle() is False
 
 
 def test_oracle_budget_guard():
     with pytest.raises(enumeration.BudgetExceededError):
         enumeration.congruence_oracle(3, max_len=12)
+    # decided without building n ** (max_len + 3)
+    with pytest.raises(enumeration.BudgetExceededError):
+        enumeration.congruence_oracle(3, max_len=10**18)
+
+
+def test_oracle_negative_length_is_refused():
+    with pytest.raises(ValueError, match="max_len"):
+        enumeration.congruence_oracle(3, max_len=-1)
 
 
 def test_cardinality_table():

@@ -150,6 +150,11 @@ def test_chain_cdf_truncation_must_be_nonnegative():
         st.chain_hitting_cdf([0.5, 0.5], -1)
 
 
+def test_chain_cdf_truncation_budget():
+    with pytest.raises(BudgetExceededError):
+        st.chain_hitting_cdf([0.5, 0.5], st.PMF_MAX_K + 1)
+
+
 def test_pmf_support_budget():
     with pytest.raises(BudgetExceededError):
         st.exact_hitting_pmf([0.5, 0.5], k_max=st.PMF_MAX_K + 1)
