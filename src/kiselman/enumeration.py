@@ -96,8 +96,10 @@ def _automaton(n: int, cap: int) -> tuple[int, int, dict[int, list[tuple[int, in
 
     Raises ``ValueError`` if ``cap`` is negative, and ``BudgetExceededError``
     iff K_n has more than ``cap`` elements.  Each state is reached by a
-    canonical word of its own, so there are at most |K_n| states, and more
-    than ``cap`` of them already decide that.
+    canonical word of its own, and the words a state accepts continue that
+    word to distinct canonical words, so there are at most |K_n| states and
+    no state accepts more than |K_n| words: more than ``cap`` states, or a
+    state accepting more than ``cap`` words, already decides it.
     The words are finite in number, so the automaton is acyclic: its path
     counts are summed children first, on an explicit stack.
     """
@@ -124,8 +126,8 @@ def _automaton(n: int, cap: int) -> tuple[int, int, dict[int, list[tuple[int, in
         stack.pop()
         if s not in counts:  # a state may be stacked more than once
             counts[s] = 1 + sum(counts[t] for _, t in moves[s])
-    if counts[start] > cap:
-        raise BudgetExceededError(f"K_{n} has more than {cap} elements")
+            if counts[s] > cap:
+                raise BudgetExceededError(f"K_{n} has more than {cap} elements")
     return counts[start], start, moves
 
 

@@ -65,31 +65,19 @@ def require_positive(p: np.ndarray) -> None:
 @dataclass(frozen=True)
 class SequenceSpec:
     """A generator-index sequence: ``preamble`` then ``cycle`` repeated
-    forever, or an explicit finite ``prefix`` (no statement beyond it)."""
+    forever."""
 
     rank: int
     preamble: tuple[int, ...] = ()
     cycle: tuple[int, ...] = ()
-    prefix: tuple[int, ...] | None = None
 
     def __post_init__(self):
         validate_word(self.rank, self.preamble)
         validate_word(self.rank, self.cycle)
-        if self.prefix is not None:
-            validate_word(self.rank, self.prefix)
-            if self.preamble or self.cycle:
-                raise ValueError("give either a prefix or preamble/cycle, not both")
-        elif not self.cycle:
-            raise ValueError("periodic mode needs a nonempty cycle")
-
-    @property
-    def periodic(self) -> bool:
-        return self.prefix is None
+        if not self.cycle:
+            raise ValueError("a sequence needs a nonempty cycle")
 
     def letters(self, horizon: int):
-        if self.prefix is not None:
-            yield from self.prefix[:horizon]
-            return
         for j in range(horizon):
             if j < len(self.preamble):
                 yield self.preamble[j]
@@ -99,10 +87,11 @@ class SequenceSpec:
 
 @dataclass(frozen=True)
 class ProductTrace:
-    """Running products s_0 = e, s_1, ... with stabilization bookkeeping."""
+    """The last of the running products s_0 = e, s_1, ... with
+    stabilization bookkeeping."""
 
     spec: SequenceSpec
-    products: tuple[Element, ...]
+    product: Element
     stabilized: bool
     stable_index: int | None  # first index from which the product never moves
 
@@ -110,47 +99,42 @@ class ProductTrace:
     def value(self) -> Element:
         if not self.stabilized:
             raise ValueError("sequence not yet stable within the horizon")
-        return self.products[self.stable_index]
+        return self.product
 
 
 def partial_products(spec: SequenceSpec, horizon: int = 10_000) -> ProductTrace:
     """Iterate s_j = s_{j-1} x_j and certify stabilization.
 
-    A periodic sequence is certified stable once the product survives one
-    full cycle unchanged past the preamble (each step multiplies by one
-    cycle letter, so it is then constant forever).  Explicit prefixes can
-    only report what was observed.
+    The sequence is certified stable once the product survives one full
+    cycle unchanged past the preamble (each step multiplies by one cycle
+    letter, so it is then constant forever).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    products = [unit(spec.rank)]
+    product = unit(spec.rank)
     last_change = 0
     stabilized = False
     for j, i in enumerate(spec.letters(horizon), start=1):
-        nxt = multiply(products[-1], idempotent(spec.rank, {i}))
-        if nxt != products[-1]:
+        nxt = multiply(product, idempotent(spec.rank, {i}))
+        if nxt != product:
             last_change = j
-        products.append(nxt)
-        if spec.periodic:
-            # stable once a full cycle passes unchanged after the preamble:
-            # every subsequent factor then fixes the product
-            cutoff = max(last_change, len(spec.preamble))
-            if j - cutoff >= len(spec.cycle):
-                stabilized = True
-                break
+        product = nxt
+        # stable once a full cycle passes unchanged after the preamble:
+        # every subsequent factor then fixes the product
+        if j - max(last_change, len(spec.preamble)) >= len(spec.cycle):
+            stabilized = True
+            break
     return ProductTrace(
         spec=spec,
-        products=tuple(products),
+        product=product,
         stabilized=stabilized,
         stable_index=last_change if stabilized else None,
     )
 
 
 def eventual_value(spec: SequenceSpec) -> Element:
-    """Closed-form eventual product for periodic sequences whose preamble
-    letters all recur in the cycle: the idempotent on the occurring set."""
-    if not spec.periodic:
-        raise ValueError("eventual value needs a periodic spec")
+    """Closed-form eventual product for sequences whose preamble letters
+    all recur in the cycle: the idempotent on the occurring set."""
     recurring = set(spec.cycle)
     occurring = recurring | set(spec.preamble)
     if occurring != recurring:
@@ -376,16 +360,6 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _windows(start: int, stop: int, size: int):
-    """Split [start, stop) into windows of at most ``size`` trials, none of
-    which crosses a multiple of 2^32: inside a window every trial index has
-    the same 32-bit words but the lowest."""
-    while start < stop:
-        end = min(stop, start + size, ((start >> 32) + 1) << 32)
-        yield start, end
-        start = end
-
-
 def _halves(value: int) -> tuple[np.ndarray, np.ndarray]:
     """A 128-bit int as one-element uint64 arrays (high, low)."""
     return np.array([value >> 64 & _MASK64], np.uint64), np.array([value & _MASK64], np.uint64)
@@ -433,7 +407,9 @@ _MULT_LESS_ONE = _halves(_PCG64_MULT - 1)
 def _trial_streams(seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
     """The PCG64 state and increment of ``default_rng([seed, trial])`` for
     every trial in [start, stop), bit for bit, as four uint64 arrays
-    ``(state_hi, state_lo, inc_hi, inc_lo)``.
+    ``(state_hi, state_lo, inc_hi, inc_lo)``.  Raises ``ValueError`` unless
+    the range is nonempty and crosses no multiple of 2^32, so that its
+    trial indices share every 32-bit word but the lowest.
 
     numpy hashes the entropy words of ``[seed, trial]`` into a pool of four
     uint32 words (``SeedSequence``: ``hashmix`` then ``mix``), draws
@@ -442,52 +418,50 @@ def _trial_streams(seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
     mod 2^128).  Here every step runs on arrays with one lane per trial;
     the hash constants do not depend on the data, so they are Python ints.
     """
-    seed_words = _words(seed)
-    windows = []
-    for lo, hi in _windows(start, stop, stop - start):
-        lanes = hi - lo
-        low = np.arange(lanes, dtype=np.uint32) + np.uint32(lo & _MASK32)
-        high = _words(lo >> 32) if lo >> 32 else []
-        entropy = [np.full(lanes, w, np.uint32) for w in seed_words] + [low] + [
-            np.full(lanes, w, np.uint32) for w in high
-        ]
-        hash_const = _INIT_A
+    if not start < stop or start >> 32 != (stop - 1) >> 32:
+        raise ValueError(f"trials [{start}, {stop}) are empty or cross a multiple of 2^32")
+    lanes = stop - start
+    low = np.arange(lanes, dtype=np.uint32) + np.uint32(start & _MASK32)
+    high = _words(start >> 32) if start >> 32 else []
+    entropy = [np.full(lanes, w, np.uint32) for w in _words(seed)] + [low] + [
+        np.full(lanes, w, np.uint32) for w in high
+    ]
+    hash_const = _INIT_A
 
-        def hashmix(value):
-            nonlocal hash_const
-            value = value ^ np.uint32(hash_const)
-            hash_const = hash_const * _MULT_A & _MASK32
-            value = value * np.uint32(hash_const)
-            return value ^ (value >> np.uint32(16))
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
 
-        def mix(x, y):
-            result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-            return result ^ (result >> np.uint32(16))
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
 
-        zero = np.zeros(lanes, np.uint32)
-        pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
+    zero = np.zeros(lanes, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
 
-        hash_const = _INIT_B
-        state32 = []
-        for i in range(8):
-            value = pool[i % 4] ^ np.uint32(hash_const)
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * np.uint32(hash_const)
-            state32.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-        # uint64 words 0, 1 are initstate (high, low); 2, 3 are initseq
-        init_hi, init_lo, seq_hi, seq_lo = (state32[2 * k] | state32[2 * k + 1] << _SHIFT32
-                                            for k in range(4))
-        inc = (seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1))
-        state = _add128(*_mul128(*_add128(*inc, init_hi, init_lo), *_MULT), *inc)
-        windows.append((*state, *inc))
-    return tuple(np.concatenate(column) for column in zip(*windows))
+    hash_const = _INIT_B
+    state32 = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state32.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # uint64 words 0, 1 are initstate (high, low); 2, 3 are initseq
+    init_hi, init_lo, seq_hi, seq_lo = (state32[2 * k] | state32[2 * k + 1] << _SHIFT32
+                                        for k in range(4))
+    inc = (seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1))
+    state = _add128(*_mul128(*_add128(*inc, init_hi, init_lo), *_MULT), *inc)
+    return (*state, *inc)
 
 
 def _lane_draws(streams, size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -563,15 +537,15 @@ def simulate(
     ``CrosscheckError``.  A trial longer than STEP_BUDGET steps raises
     ``BudgetExceededError`` naming the lowest such trial.
 
-    ``mode="full"`` also replays the letters of tracked trials (all for
-    n <= 3, every 100th above) in Python: the walk multiplies out the
-    product, asserts at every step that its level by definition equals the
-    chain's level ``g``, and at the end that the walk reaches the zero
-    exactly at the scan's hitting time.  The walk reads a right-Cayley
-    table built over the states it visits, for this call only: (x, i) maps
-    to x·a_i and the level by definition of x·a_i, so each visited pair is
-    multiplied and checked once.  Reports are deterministic functions of
-    (n, p, trials, seed, mode).
+    ``mode="full"`` also walks the letters of tracked trials (all for
+    n <= 3, every 100th above) through a right-Cayley table built over the
+    elements they visit, for this call only (:class:`_RightCayley`).  The
+    table multiplies each visited pair (x, i) once and checks the level law
+    L(x·a_i) = g(L(x), i) on it, L the level by definition; with L(e) = n,
+    by induction the product's level then equals the chain's level at every
+    step of every walk.  Each walk must first reach an element of level 0
+    exactly at the scan's hitting time.  Reports are deterministic
+    functions of (n, p, trials, seed, mode).
     """
     p = validate_simulation(n, p, trials, seed, mode)
     stride = 1 if n <= 3 else 100
@@ -584,19 +558,23 @@ def simulate(
     crosscheck_failures = 0
     right_cayley = _RightCayley(n) if mode == "full" else None
 
-    for lo, hi in _windows(0, trials, SEED_CHUNK):
-        # numpy seeds the window's first trial itself, a check on the lanes
+    for lo in range(0, trials, SEED_CHUNK):
+        # SEED_CHUNK divides 2^32, so no chunk crosses a multiple of 2^32
+        hi = min(trials, lo + SEED_CHUNK)
+        # numpy seeds the chunk's first trial itself, a check on the lanes
         rng = np.random.default_rng([seed, lo])
         streams = _trial_streams(seed, lo, hi)
         state, inc = (int(streams[k][0]) << 64 | int(streams[k + 1][0]) for k in (0, 2))
         if rng.bit_generator.state["state"] != {"state": state, "inc": inc}:
             raise CrosscheckError(f"stream of trial {lo} differs from default_rng([{seed}, {lo}])")
         tracked = range(-lo % stride, hi - lo, stride) if mode == "full" else range(0)
-        window_times, rows = _scan(streams, n, bounds, first, tracked, stays, rng, seed, lo)
-        times.append(window_times)
+        chunk_times, rows = _scan(streams, n, bounds, first, tracked, stays, rng, seed, lo)
+        times.append(chunk_times)
         for lane, letters in rows.items():
             crosscheck_trials += 1
-            crosscheck_failures += _walk(right_cayley, letters, int(window_times[lane]))
+            crosscheck_failures += _walk(right_cayley, letters, int(chunk_times[lane]))
+    if right_cayley is not None:
+        crosscheck_failures += right_cayley.failures
 
     times = np.concatenate(times)
     values, counts = np.unique(times, return_counts=True)
@@ -685,45 +663,44 @@ def _scan(streams, n, bounds, size, tracked, stays, rng, seed, lo):
 
 class _RightCayley:
     """The right-Cayley table of one ``simulate`` call over the elements its
-    walks visit: (x, i) maps to x·a_i and the level by definition of x·a_i,
-    so each visited pair is multiplied and checked once.  Elements are
-    numbered in visiting order, e first."""
+    walks visit, numbered in visiting order, e first: ``moves[x][i]`` is the
+    id of x·a_i, or 0 (the id of e, which no x·a_i is) before the pair is
+    visited.  :meth:`add` multiplies a pair once, takes the level by
+    definition of each new element once, and counts in ``failures`` the
+    pairs where L(x·a_i) != g(L(x), i), taking L(e) = n."""
 
     def __init__(self, n: int):
         self.n = n
         self.generators = [idempotent(n, {i}) for i in range(1, n + 1)]
         self.elements = [unit(n)]
         self.ids = {self.elements[0]: 0}
-        self.steps: dict[int, tuple[int, int]] = {}  # x·(n + 1) + i -> (id of x·a_i, level)
+        self.levels = [n]
+        self.moves = [[0] * (n + 1)]
+        self.failures = 0
 
-    def add(self, x: int, i: int) -> tuple[int, int]:
+    def add(self, x: int, i: int) -> int:
         after = multiply(self.elements[x], self.generators[i - 1])
         y = self.ids.setdefault(after, len(self.elements))
         if y == len(self.elements):
             self.elements.append(after)
-        step = self.steps[x * (self.n + 1) + i] = (y, level_by_definition(after))
-        return step
+            self.levels.append(level_by_definition(after))
+            self.moves.append([0] * (self.n + 1))
+        if self.levels[y] != g(self.levels[x], i):
+            self.failures += 1
+        self.moves[x][i] = y
+        return y
 
 
 def _walk(table: _RightCayley, letters: list[int], hitting_time: int) -> int:
-    """Crosscheck failures of one tracked trial: steps where the product's
-    level by definition differs from the chain's level, plus one unless the
-    walk first reaches the zero at ``hitting_time``."""
-    n = table.n
-    steps, width = table.steps, n + 1
-    failures = 0
-    lvl = n
-    x = t = 0
-    for t, i in enumerate(letters[:hitting_time], start=1):
-        x, prod_level = steps.get(x * width + i) or table.add(x, i)
-        lvl = g(lvl, i)
-        if prod_level != lvl:
-            failures += 1
-        if lvl == 0:
-            break
-    if t != hitting_time or lvl != 0 or table.elements[x].letters != tuple(range(n, 0, -1)):
-        failures += 1
-    return failures
+    """1 unless the walk of ``letters`` through ``table`` first reaches an
+    element of level 0 at step ``hitting_time``, else 0."""
+    moves, levels = table.moves, table.levels
+    x = 0
+    for t, i in enumerate(letters, start=1):
+        x = moves[x][i] or table.add(x, i)
+        if levels[x] == 0:
+            return int(t != hitting_time)
+    return 1
 
 
 @dataclass(frozen=True)

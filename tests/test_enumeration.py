@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -22,6 +23,15 @@ def test_cap_flags_incomplete():
     with pytest.raises(enumeration.BudgetExceededError):
         enumeration.cardinality_table(max_rank=3, cap=KNOWN_SIZES[3] - 1)
     assert len(enumeration.enumerate_elements(3, cap=KNOWN_SIZES[3])) == KNOWN_SIZES[3]
+
+
+def test_large_rank_is_refused_early():
+    # the automaton of K_40 has over 10**13 states; a state's word count
+    # passes the cap after a few hundred of them
+    start = time.perf_counter()
+    with pytest.raises(enumeration.BudgetExceededError):
+        enumeration.enumerate_elements(40)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_negative_cap_is_refused():

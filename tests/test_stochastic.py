@@ -18,9 +18,7 @@ def random_positive_p(rng, n):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        st.SequenceSpec(3)  # no cycle, no prefix
-    with pytest.raises(ValueError):
-        st.SequenceSpec(3, cycle=(1,), prefix=(1,))
+        st.SequenceSpec(3)  # no cycle
     with pytest.raises(core.MalformedWordError):
         st.SequenceSpec(3, cycle=(4,))
 
@@ -36,6 +34,11 @@ def test_full_cycle_reaches_zero():
     trace = st.partial_products(st.SequenceSpec(3, cycle=(1, 2, 3)))
     assert trace.stabilized
     assert trace.value == core.zero(3)
+    # a horizon that ends before a full cycle passes unchanged certifies nothing
+    short = st.partial_products(st.SequenceSpec(3, cycle=(1, 2, 3)), horizon=trace.stable_index + 2)
+    assert not short.stabilized and short.stable_index is None
+    with pytest.raises(ValueError):
+        _ = short.value
 
 
 def test_two_letter_cycle():
@@ -59,13 +62,6 @@ def test_eventual_value_requires_recurring_preamble():
     trace = st.partial_products(spec)
     assert trace.stabilized
     assert trace.value == core.reduce(3, (2, 1))
-
-
-def test_explicit_prefix_never_certifies():
-    trace = st.partial_products(st.SequenceSpec(3, prefix=(1, 1, 1, 1)))
-    assert not trace.stabilized
-    with pytest.raises(ValueError):
-        _ = trace.value
 
 
 def test_transition_matrix_layout():
@@ -199,6 +195,16 @@ def test_simulation_reproducible():
 def test_simulation_report_bytes(n, p, trials, seed, mode, digest):
     report = st.simulate(n, p, trials=trials, seed=seed, mode=mode)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_trial_streams_refuse_a_range_across_2_to_the_32():
+    top = 2**32
+    assert len(st._trial_streams(5, top - 3, top)[0]) == 3
+    assert len(st._trial_streams(5, top, top + 3)[0]) == 3
+    with pytest.raises(ValueError, match="2\\^32"):
+        st._trial_streams(5, top - 3, top + 3)
+    with pytest.raises(ValueError):
+        st._trial_streams(5, 7, 7)
 
 
 def test_negative_seed_is_refused():
@@ -363,18 +369,25 @@ def test_full_mode_histogram_equals_level_mode(n, trials):
 
 
 def test_full_mode_checks_each_visited_pair_once(monkeypatch):
-    level_by_definition = st.level_by_definition
-    checked = []
+    level_by_definition, g = st.level_by_definition, st.g
+    checked, laws = [], []
 
     def counting(x):
         checked.append(x)
         return level_by_definition(x)
 
+    def counting_g(lvl, i):
+        laws.append((lvl, i))
+        return g(lvl, i)
+
     monkeypatch.setattr(st, "level_by_definition", counting)
+    monkeypatch.setattr(st, "g", counting_g)
     rep = st.simulate(3, (0.2, 0.3, 0.5), trials=300, seed=7, mode="full")
     assert rep.crosscheck_trials == 300
     assert sorted(x.letters for x in set(checked)) == sorted(K3_STEP_PRODUCTS)
     assert len(checked) <= 3 * 18  # one call per visited (element, letter) pair
+    assert len(laws) <= 3 * 18  # the level law once per visited pair
+    assert len(checked) == len(set(checked))  # each element's level once
 
 
 @pytest.mark.parametrize("letters", K3_STEP_PRODUCTS, ids=core.format_word)
