@@ -144,7 +144,7 @@ def run(argv=None) -> int:
     except enumeration.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except enumeration.CrosscheckError as exc:
+    except AssertionError as exc:  # CrosscheckError and every internal spot check
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except (ValueError, KeyError, OSError) as exc:

@@ -806,27 +806,3 @@ def verify_distribution(
         dof=dof,
     )
 
-
-def sample_from_pmf(pmf: HittingTimePMF, trials: int, seed: int) -> SimulationReport:
-    """Inverse-CDF sampler used as a self-consistency control for
-    :func:`verify_distribution`."""
-    rng = np.random.default_rng(seed)
-    cdf = pmf.cdf()
-    draws = np.searchsorted(cdf, rng.random(trials))
-    histogram: dict[int, int] = {}
-    for k in draws.tolist():
-        histogram[k] = histogram.get(k, 0) + 1
-    mean = float(draws.mean())
-    return SimulationReport(
-        rank=len(pmf.p),
-        p=tuple(float(v) for v in pmf.p),
-        trials=trials,
-        seed=seed,
-        mode="resample",
-        rng=RNG_ALGORITHM,
-        histogram=histogram,
-        mean=mean,
-        variance=float(draws.var()),
-        crosscheck_trials=0,
-        crosscheck_failures=0,
-    )

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import kiselman
-from kiselman import selftest, stochastic
+from kiselman import level_metric, selftest, stochastic
 from kiselman.cli import run
-from conftest import KNOWN_SIZES
+from conftest import KNOWN_SIZES, sample_from_pmf
 
 
 def capture(capsys, argv):
@@ -228,6 +228,26 @@ def test_selftest_reports_a_failing_check(monkeypatch, capsys):
     assert out.splitlines() == ["PASS  holds", "FAIL  breaks", "1/2 checks passed"]
 
 
+def test_selftest_goes_on_past_a_raising_check(monkeypatch, capsys):
+    def raises():
+        raise AssertionError("truncation table disagrees with distance")
+
+    monkeypatch.setattr(selftest, "CHECKS", [("raises", raises), ("holds", lambda: True)])
+    code, out = capture(capsys, ["selftest"])
+    assert code == 1
+    assert out.splitlines() == ["FAIL  raises", "PASS  holds", "1/2 checks passed"]
+
+
+def test_failed_spot_check_exit_code(monkeypatch, capsys):
+    # a distance that lies makes the spot check of ``ball`` raise AssertionError
+    monkeypatch.setattr(level_metric, "distance", lambda x, y: x.rank + 1)
+    assert run(["ball", "--n", "3", "--r", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_simulation_step_budget_exit_code(capsys):
     argv = ["simulate", "--n", "2", "--p", "0.99999999,0.00000001", "--trials", "1",
             "--seed", "1", "--mode", "level"]
@@ -439,7 +459,7 @@ def test_correct_run_at_rank_5_passes(capsys):
 def test_sample_from_a_perturbed_p_fails_verification(tmp_path, capsys):
     p = (0.2, 0.3, 0.5)
     perturbed = np.array([0.22, 0.3, 0.5]) / 1.02  # p_1 * 1.1, renormalised
-    sample = stochastic.sample_from_pmf(stochastic.exact_hitting_pmf(perturbed), 100_000, seed=5)
+    sample = sample_from_pmf(stochastic.exact_hitting_pmf(perturbed), 100_000, seed=5)
     report = tmp_path / "report.json"
     report.write_text(dataclasses.replace(sample, p=p).to_json())
     assert run(["verify", "--n", "3", "--report", str(report)]) == 1

@@ -83,15 +83,6 @@ def test_oracle_class_count(oracle2):
     assert oracle2.num_classes == KNOWN_SIZES[2]
 
 
-def test_dual_method_agreement(oracle2, oracle3, universe2, universe3):
-    # the automaton walk against the congruence oracle: each canonical word
-    # is the least word of its class, in the same shortlex order
-    assert oracle2.num_classes == len(universe2)
-    assert oracle3.num_classes == len(universe3)
-    assert oracle2.least_words == tuple(x.letters for x in universe2)
-    assert oracle3.least_words == tuple(x.letters for x in universe3)
-
-
 def test_oracle_check_refuses_a_longer_congruent_word(monkeypatch):
     # the padded word is congruent to the canonical one, but not the least
     reduce = core.reduce

@@ -6,6 +6,7 @@ import pytest
 
 from kiselman import core, stochastic as st
 from kiselman.enumeration import BudgetExceededError, enumerate_elements
+from conftest import sample_from_pmf
 
 # every element of K_3 but e is the product after some step of a trial
 K3_STEP_PRODUCTS = [x.letters for x in enumerate_elements(3) if x.letters]
@@ -438,7 +439,7 @@ def test_crosscheck_stride_for_rank4():
 
 def test_verify_self_consistency():
     pmf = st.exact_hitting_pmf([0.5, 0.5])
-    control = st.sample_from_pmf(pmf, trials=50000, seed=17)
+    control = sample_from_pmf(pmf, trials=50000, seed=17)
     verdict = st.verify_distribution(control, pmf)
     assert verdict.passed
 
@@ -493,7 +494,7 @@ def test_chi2_sf_edges():
 
 def test_one_bin_verdict_fails():
     pmf = st.exact_hitting_pmf([0.5, 0.5])
-    verdict = st.verify_distribution(st.sample_from_pmf(pmf, trials=6, seed=1), pmf, tv_bound=1.0)
+    verdict = st.verify_distribution(sample_from_pmf(pmf, trials=6, seed=1), pmf, tv_bound=1.0)
     assert verdict.dof == 0
     assert math.isnan(verdict.chi2_pvalue)
     assert not verdict.passed
