@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--report", required=True, help="report JSON file")
     cmd.add_argument("--tv-bound", type=float, help="default: exceeded by a correct run "
                      "with probability 0.001")  # stochastic.TV_FAILURE_PROB
-    cmd.add_argument("--pvalue-floor", type=float, default=1e-3)
+    cmd.add_argument("--pvalue-floor", type=float)  # default: stochastic.PVALUE_FLOOR
 
     add("selftest", "run every internal consistency check", rank=False, formats=())
     return parser
@@ -241,8 +241,7 @@ def _dispatch(args) -> int:
         # a pmf past its budget is refused before any trial runs
         pmf = stochastic.exact_hitting_pmf(p)
         report = stochastic.simulate(args.n, p, trials=args.trials, seed=args.seed, mode=args.mode)
-        tv_bound = stochastic.tv_tolerance(pmf, report.trials)
-        verdict = stochastic.verify_distribution(report, pmf, tv_bound)
+        verdict = stochastic.verify_distribution(report, pmf)
         payload = json.loads(report.to_json())
         payload["kernel_backend"] = kiselman.KERNEL_BACKEND
         payload["kiselman_version"] = kiselman.__version__
@@ -264,10 +263,7 @@ def _dispatch(args) -> int:
         if report.rank != args.n:
             raise ValueError(f"--n is {args.n} but the report has rank {report.rank}")
         pmf = stochastic.exact_hitting_pmf(report.p)
-        tv_bound = args.tv_bound
-        if tv_bound is None:
-            tv_bound = stochastic.tv_tolerance(pmf, report.trials)
-        verdict = stochastic.verify_distribution(report, pmf, tv_bound, args.pvalue_floor)
+        verdict = stochastic.verify_distribution(report, pmf, args.tv_bound, args.pvalue_floor)
         print(json.dumps({
             "tv_distance": verdict.tv_distance,
             "chi2_pvalue": _json_number(verdict.chi2_pvalue),

@@ -16,6 +16,9 @@ words in shortlex order discovers exactly the edges available within the
 bound.  A union keeps the shortlex-earlier root, so each class is named by
 its least word; running the closure at two consecutive bounds and
 comparing the roots of the short words is the slack-stability check.
+
+``BudgetExceededError`` is every budget's refusal, the stochastic layer's
+too; it lives here so that the CLI maps it to exit 3 without numpy.
 """
 
 from __future__ import annotations
@@ -33,15 +36,8 @@ ORACLE_BUDGET = 5_000_000  # largest word universe the oracle materializes
 
 class BudgetExceededError(RuntimeError):
     """A computation would exceed its budget: the enumeration cap, the
-    oracle's word universe, the exact pmf's support or a simulated trial's
-    step count."""
-
-
-class CrosscheckError(AssertionError):
-    """The g-recursion level diverged from the level of the actual product.
-
-    Raised by ``stochastic.simulate``; defined here, beside the other error
-    the CLI maps to an exit code, so that mapping loads no numpy."""
+    oracle's word universe, the exact pmf's support, a simulated trial's
+    step count or a partial product's horizon."""
 
 
 class OracleInstabilityError(RuntimeError):

@@ -6,6 +6,10 @@ the occurring index set.  For iid random letters with distribution p, the
 level of the running product is an absorbing Markov chain on {0, ..., n}
 that either stays put or steps down by one, and the absorption time is a
 sum of n independent geometric variables with success probabilities p_i.
+
+:func:`verify_distribution` alone decides a simulation's verdict, by
+default at the TV bound of :func:`tv_tolerance` and at PVALUE_FLOOR.  Every
+budget here refuses with ``BudgetExceededError``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kiselman.core import Element, idempotent, multiply, unit, validate_word
-from kiselman.enumeration import BudgetExceededError, CrosscheckError
+from kiselman.enumeration import BudgetExceededError
 from kiselman.level_metric import g, level_by_definition
 
 RNG_ALGORITHM = "numpy PCG64, per-trial stream seeded by (master_seed, trial_index)"
@@ -28,6 +32,7 @@ PMF_TAIL = 1e-9  # the default pmf truncation leaves less tail mass than this
 PMF_MAX_K = 1_000_000  # largest pmf truncation; (1 - q, q) with q = 3e-5 needs 690,739
 STEP_BUDGET = 1_000_000  # most steps one simulated trial may take
 TV_FAILURE_PROB = 1e-3  # chance that an exact sampler exceeds tv_tolerance
+PVALUE_FLOOR = 1e-3  # a verdict fails at a chi-square p-value this low or lower
 SEED_CHUNK = 1024  # trials whose streams one vectorised seeding pass computes
 PASS_DRAWS = 1 << 14  # most draws one pass of the lane kernel computes; >= SEED_CHUNK
 
@@ -39,6 +44,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class CrosscheckError(AssertionError):
+    """A simulation cross-check failed: a lane's stream differs from
+    numpy's, or a walk's level from the chain's."""
 
 
 def validate_probabilities(p) -> np.ndarray:
@@ -87,19 +97,11 @@ class SequenceSpec:
 
 @dataclass(frozen=True)
 class ProductTrace:
-    """The last of the running products s_0 = e, s_1, ... with
-    stabilization bookkeeping."""
+    """The eventual value of the running products s_0 = e, s_1, ..."""
 
     spec: SequenceSpec
-    product: Element
-    stabilized: bool
-    stable_index: int | None  # first index from which the product never moves
-
-    @property
-    def value(self) -> Element:
-        if not self.stabilized:
-            raise ValueError("sequence not yet stable within the horizon")
-        return self.product
+    value: Element
+    stable_index: int  # first index from which the product never moves
 
 
 def partial_products(spec: SequenceSpec, horizon: int = 10_000) -> ProductTrace:
@@ -107,13 +109,13 @@ def partial_products(spec: SequenceSpec, horizon: int = 10_000) -> ProductTrace:
 
     The sequence is certified stable once the product survives one full
     cycle unchanged past the preamble (each step multiplies by one cycle
-    letter, so it is then constant forever).
+    letter, so it is then constant forever).  A sequence not certified
+    within ``horizon`` letters raises ``BudgetExceededError``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     product = unit(spec.rank)
     last_change = 0
-    stabilized = False
     for j, i in enumerate(spec.letters(horizon), start=1):
         nxt = multiply(product, idempotent(spec.rank, {i}))
         if nxt != product:
@@ -122,14 +124,8 @@ def partial_products(spec: SequenceSpec, horizon: int = 10_000) -> ProductTrace:
         # stable once a full cycle passes unchanged after the preamble:
         # every subsequent factor then fixes the product
         if j - max(last_change, len(spec.preamble)) >= len(spec.cycle):
-            stabilized = True
-            break
-    return ProductTrace(
-        spec=spec,
-        product=product,
-        stabilized=stabilized,
-        stable_index=last_change if stabilized else None,
-    )
+            return ProductTrace(spec=spec, value=product, stable_index=last_change)
+    raise BudgetExceededError(f"partial products not certified stable within horizon {horizon}")
 
 
 def eventual_value(spec: SequenceSpec) -> Element:
@@ -230,7 +226,10 @@ def exact_hitting_pmf(p, k_max: int | None = None) -> HittingTimePMF:
     P(S_i = k) = (1 - p_i) P(S_i = k - 1) + p_i P(S_{i-1} = k - 1).  With
     ``k_max=None`` the pass stops at the first k whose cumulative mass
     reaches 1 - PMF_TAIL.  A truncation past PMF_MAX_K raises
-    ``BudgetExceededError``.
+    ``BudgetExceededError``.  A default truncation is refused before the
+    pass when (1 - p_min)^PMF_MAX_K > 2·PMF_TAIL: T >= G_min, the slowest
+    geometric, so P(T > PMF_MAX_K) >= (1 - p_min)^PMF_MAX_K, and the factor
+    2 keeps the pass's rounding from flipping a decision near the boundary.
     """
     p = validate_probabilities(p)
     require_positive(p)
@@ -238,6 +237,9 @@ def exact_hitting_pmf(p, k_max: int | None = None) -> HittingTimePMF:
         raise ValueError(f"truncation must be >= 0, got {k_max}")
     if k_max is not None and k_max > PMF_MAX_K:
         raise BudgetExceededError(f"pmf truncation {k_max} exceeds budget {PMF_MAX_K}")
+    tail_past_budget = f"pmf tail mass stays above {PMF_TAIL} past k = {PMF_MAX_K}"
+    if k_max is None and (1.0 - float(p.min())) ** PMF_MAX_K > 2 * PMF_TAIL:
+        raise BudgetExceededError(tail_past_budget)
     n = len(p)
     stages = [(i, 1.0 - pi, pi) for i, pi in zip(range(n, 0, -1), p[::-1].tolist())]
     stage = [1.0] + [0.0] * n
@@ -251,7 +253,7 @@ def exact_hitting_pmf(p, k_max: int | None = None) -> HittingTimePMF:
         probs.append(stage[n])
         mass += stage[n]
     if k_max is None and mass < 1.0 - PMF_TAIL:
-        raise BudgetExceededError(f"pmf tail mass stays above {PMF_TAIL} past k = {PMF_MAX_K}")
+        raise BudgetExceededError(tail_past_budget)
     probs = np.array(probs)
     return HittingTimePMF(p=p, probs=probs, tail_mass=float(1.0 - probs.sum()))
 
@@ -749,15 +751,21 @@ def chi2_sf(dof: int, x: float) -> float:
 def verify_distribution(
     report: SimulationReport,
     pmf: HittingTimePMF,
-    tv_bound: float = 0.01,
-    pvalue_floor: float = 1e-3,
+    tv_bound: float | None = None,
+    pvalue_floor: float | None = None,
 ) -> Verdict:
     """Compare an empirical hitting-time histogram against the exact pmf.
 
     Total-variation distance over the truncated support (tail pooled) plus
-    a chi-square test over bins with expected count >= 5.  Raises
+    a chi-square test over bins with expected count >= 5; a sample with no
+    such bin is one bin, dof 0, and fails.  ``None`` bounds are the rule:
+    ``tv_tolerance(pmf, report.trials)`` and PVALUE_FLOOR.  Raises
     ``ValueError`` unless 0 < tv_bound <= 1 and 0 <= pvalue_floor < 1.
     """
+    if tv_bound is None:
+        tv_bound = tv_tolerance(pmf, report.trials)
+    if pvalue_floor is None:
+        pvalue_floor = PVALUE_FLOOR
     # written so that NaN fails too; an infinite bound would switch a check off
     if not 0.0 < tv_bound <= 1.0:
         raise ValueError(f"tv_bound must lie in (0, 1], got {tv_bound!r}")
@@ -787,8 +795,8 @@ def verify_distribution(
             obs_bins.append(acc_obs)
             exp_bins.append(acc_exp)
             acc_obs = acc_exp = 0.0
-    if not obs_bins:
-        raise ValueError("insufficient trials for chi-square binning")
+    if not obs_bins:  # no bin reaches 5: the whole sample is one bin
+        obs_bins, exp_bins = [0.0], [0.0]
     obs_bins[-1] += acc_obs
     exp_bins[-1] += acc_exp
     obs_arr = np.array(obs_bins)
@@ -805,4 +813,3 @@ def verify_distribution(
         pvalue_floor=pvalue_floor,
         dof=dof,
     )
-

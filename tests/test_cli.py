@@ -381,16 +381,19 @@ def test_one_bin_pvalue_prints_as_strict_json(tmp_path, capsys):
         return json.loads(text, parse_constant=refuse)
 
     report = tmp_path / "report.json"
-    argv = ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "5", "--seed", "1",
-            "--out", str(report)]
-    code, out = capture(capsys, argv)
-    assert code == 1  # one bin: dof 0, so the chi-square test fails
-    assert strict(out)["chi2_pvalue"] is None
-    assert strict(report.read_text())["verdict"] == "fail"
-    code, out = capture(capsys, ["verify", "--n", "2", "--report", str(report)])
-    assert code == 1
-    assert strict(out) == {"chi2_pvalue": None, "passed": False,
-                           "tv_distance": strict(report.read_text())["tv_vs_exact"]}
+    # one bin, dof 0, so the chi-square test fails: 5 trials pool into one
+    # bin, and in 4 no bin reaches an expected count of 5
+    for trials in ("5", "4"):
+        argv = ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", trials, "--seed", "1",
+                "--out", str(report)]
+        code, out = capture(capsys, argv)
+        assert code == 1
+        assert strict(out)["chi2_pvalue"] is None
+        assert strict(out)["verdict"] == "fail" and report.read_text() == out
+        code, out = capture(capsys, ["verify", "--n", "2", "--report", str(report)])
+        assert code == 1
+        assert strict(out) == {"chi2_pvalue": None, "passed": False,
+                               "tv_distance": strict(report.read_text())["tv_vs_exact"]}
 
 
 @pytest.mark.parametrize("argv", [

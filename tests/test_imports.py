@@ -27,6 +27,10 @@ print(json.dumps([code, sorted({"numpy", "scipy"} & sys.modules.keys())]))
 """
 
 
+# stands for the path of a report that passes verify
+REPORT = "<report>"
+
+
 def loaded_after(argv):
     result = subprocess.run(
         [sys.executable, "-c", CLI_THEN_MODULES, *argv],
@@ -46,8 +50,13 @@ def loaded_after(argv):
     (["rset", "--n", "3"], []),
     (["pmf", "--n", "2", "--p", "0.5,0.5", "--k", "4"], ["numpy"]),
     (["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "100", "--seed", "1"], ["numpy"]),
+    (["chain", "--n", "2", "--p", "0.3,0.7"], ["numpy"]),
+    (["verify", "--n", "2", "--report", REPORT], ["numpy"]),
 ])
-def test_cli_commands_load_only_what_they_need(argv, modules):
+def test_cli_commands_load_only_what_they_need(argv, modules, tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text(stochastic.simulate(2, (0.5, 0.5), trials=100, seed=1).to_json())
+    argv = [str(report) if arg == REPORT else arg for arg in argv]
     assert loaded_after(argv) == modules
 
 

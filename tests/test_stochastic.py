@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,20 +27,17 @@ def test_spec_validation():
 
 def test_constant_sequence_stabilizes_immediately():
     trace = st.partial_products(st.SequenceSpec(3, cycle=(1,)))
-    assert trace.stabilized
     assert trace.stable_index == 1
     assert trace.value == core.generator(3, 1)
 
 
 def test_full_cycle_reaches_zero():
     trace = st.partial_products(st.SequenceSpec(3, cycle=(1, 2, 3)))
-    assert trace.stabilized
     assert trace.value == core.zero(3)
     # a horizon that ends before a full cycle passes unchanged certifies nothing
-    short = st.partial_products(st.SequenceSpec(3, cycle=(1, 2, 3)), horizon=trace.stable_index + 2)
-    assert not short.stabilized and short.stable_index is None
-    with pytest.raises(ValueError):
-        _ = short.value
+    horizon = trace.stable_index + 2
+    with pytest.raises(BudgetExceededError, match=f"within horizon {horizon}"):
+        st.partial_products(trace.spec, horizon=horizon)
 
 
 def test_two_letter_cycle():
@@ -61,7 +59,6 @@ def test_eventual_value_requires_recurring_preamble():
         st.eventual_value(spec)
     # iteration still works and here the preamble letter survives
     trace = st.partial_products(spec)
-    assert trace.stabilized
     assert trace.value == core.reduce(3, (2, 1))
 
 
@@ -159,6 +156,14 @@ def test_pmf_support_budget():
     # about 20 / 1e-7 terms are needed: past the budget
     with pytest.raises(BudgetExceededError):
         st.exact_hitting_pmf([1.0 - 1e-7, 1e-7])
+
+
+def test_hopeless_default_truncation_is_refused_before_the_pass():
+    # T >= G_2, so P(T > PMF_MAX_K) >= (1 - 1e-7)^PMF_MAX_K, about 0.9
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="pmf tail mass stays above"):
+        st.exact_hitting_pmf([1.0 - 1e-7, 1e-7])
+    assert time.perf_counter() - start < 0.1
 
 
 def test_simulation_reproducible():
@@ -494,7 +499,20 @@ def test_chi2_sf_edges():
 
 def test_one_bin_verdict_fails():
     pmf = st.exact_hitting_pmf([0.5, 0.5])
-    verdict = st.verify_distribution(sample_from_pmf(pmf, trials=6, seed=1), pmf, tv_bound=1.0)
-    assert verdict.dof == 0
-    assert math.isnan(verdict.chi2_pvalue)
-    assert not verdict.passed
+    # 6 trials pool into one bin; in 4, no bin reaches an expected count of 5
+    for trials in (6, 4):
+        verdict = st.verify_distribution(sample_from_pmf(pmf, trials, seed=1), pmf, tv_bound=1.0)
+        assert verdict.dof == 0
+        assert math.isnan(verdict.chi2_pvalue)
+        assert not verdict.passed
+
+
+def test_default_bounds_are_the_rule():
+    # a fixed TV bound of 0.01 failed this correct run (TV 0.0253)
+    p = (0.1, 0.15, 0.2, 0.25, 0.3)
+    rep = st.simulate(5, p, trials=20_000, seed=3, mode="full")
+    pmf = st.exact_hitting_pmf(p)
+    verdict = st.verify_distribution(rep, pmf)
+    assert verdict.tv_bound == st.tv_tolerance(pmf, 20_000)
+    assert verdict.pvalue_floor == st.PVALUE_FLOOR
+    assert verdict.passed
