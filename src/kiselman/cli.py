@@ -13,7 +13,7 @@ import math
 import sys
 
 import kiselman
-from kiselman import core, enumeration, level_metric, morphisms
+from kiselman import core, enumeration, level_metric, levelchain, morphisms
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -215,27 +215,25 @@ def _dispatch(args) -> int:
             for x in members:
                 print(core.format_word(x.letters))
     elif args.command == "chain":
-        from kiselman import stochastic  # numpy: loaded by the stochastic commands only
-
-        chain = stochastic.transition_matrix(_probs(args))
+        rows = levelchain.transition_rows(_probs(args))
         if args.format == "json":
-            print(json.dumps({"matrix": chain.matrix.tolist(), "initial": chain.initial.tolist()}))
+            print(json.dumps({"matrix": rows,
+                              "initial": levelchain.initial_distribution(args.n)}))
         else:
-            for row in chain.matrix:
+            for row in rows:
                 print(" ".join(f"{v:.12g}" for v in row))
     elif args.command == "pmf":
-        from kiselman import stochastic
-
-        pmf = stochastic.exact_hitting_pmf(_probs(args), k_max=args.k)
+        p = _probs(args)
+        probs, tail_mass = levelchain.hitting_pmf(p, k_max=args.k)
         if args.format == "json":
-            print(json.dumps({"probs": pmf.probs.tolist(), "tail_mass": pmf.tail_mass,
-                              "mean": pmf.mean()}))
+            print(json.dumps({"probs": probs, "tail_mass": tail_mass,
+                              "mean": levelchain.mean(p, probs)}))
         else:
-            for k, prob in enumerate(pmf.probs):
+            for k, prob in enumerate(probs):
                 print(f"P(T={k})={prob:.12g}")
-            print(f"tail={pmf.tail_mass:.12g}")
+            print(f"tail={tail_mass:.12g}")
     elif args.command == "simulate":
-        from kiselman import stochastic
+        from kiselman import stochastic  # numpy: loaded by simulate and verify only
 
         p = stochastic.validate_simulation(args.n, _probs(args), args.trials, args.seed, args.mode)
         # a pmf past its budget is refused before any trial runs

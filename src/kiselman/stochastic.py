@@ -6,6 +6,9 @@ the occurring index set.  For iid random letters with distribution p, the
 level of the running product is an absorbing Markov chain on {0, ..., n}
 that either stays put or steps down by one, and the absorption time is a
 sum of n independent geometric variables with success probabilities p_i.
+That exact law is computed once, without numpy, in :mod:`kiselman.levelchain`;
+this module wraps its results in arrays, and :func:`chain_hitting_cdf`
+checks them independently by powers of the transition matrix.
 
 :func:`verify_distribution` alone decides a simulation's verdict, by
 default at the TV bound of :func:`tv_tolerance` and at PVALUE_FLOOR.  Every
@@ -22,14 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from kiselman import levelchain
 from kiselman.core import Element, idempotent, multiply, unit, validate_word
 from kiselman.enumeration import BudgetExceededError
 from kiselman.level_metric import g, level_by_definition
+from kiselman.levelchain import PMF_MAX_K, PMF_TAIL, PROBABILITY_SUM_TOL  # noqa: F401
 
 RNG_ALGORITHM = "numpy PCG64, per-trial stream seeded by (master_seed, trial_index)"
-PROBABILITY_SUM_TOL = 1e-12  # largest accepted |sum(p) - 1|
-PMF_TAIL = 1e-9  # the default pmf truncation leaves less tail mass than this
-PMF_MAX_K = 1_000_000  # largest pmf truncation; (1 - q, q) with q = 3e-5 needs 690,739
 STEP_BUDGET = 1_000_000  # most steps one simulated trial may take
 TV_FAILURE_PROB = 1e-3  # chance that an exact sampler exceeds tv_tolerance
 PVALUE_FLOOR = 1e-3  # a verdict fails at a chi-square p-value this low or lower
@@ -52,24 +54,8 @@ class CrosscheckError(AssertionError):
 
 
 def validate_probabilities(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or len(p) < 2:
-        raise ValueError("need a probability vector of length n >= 2")
-    if not np.isfinite(p).all():
-        raise ValueError("probabilities must be finite")
-    if (p < 0).any():
-        raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > PROBABILITY_SUM_TOL:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    return p
-
-
-def require_positive(p: np.ndarray) -> None:
-    if (p <= 0).any():
-        raise ValueError(
-            "every generator needs positive probability; otherwise the "
-            "hitting time is not almost surely finite"
-        )
+    """p as an array; the checks are :func:`levelchain.validate_probabilities`."""
+    return np.array(levelchain.validate_probabilities(p))
 
 
 @dataclass(frozen=True)
@@ -156,15 +142,11 @@ class TransitionMatrix:
 
 def transition_matrix(p) -> TransitionMatrix:
     p = validate_probabilities(p)
-    n = len(p)
-    mat = np.zeros((n + 1, n + 1))
-    mat[0, 0] = 1.0
-    for i in range(1, n + 1):
-        mat[i, i - 1] = p[i - 1]
-        mat[i, i] = 1.0 - p[i - 1]
-    initial = np.zeros(n + 1)
-    initial[n] = 1.0
-    return TransitionMatrix(p=p, matrix=mat, initial=initial)
+    return TransitionMatrix(
+        p=p,
+        matrix=np.array(levelchain.transition_rows(p)),
+        initial=np.array(levelchain.initial_distribution(len(p))),
+    )
 
 
 def chain_hitting_cdf(p, k_max: int) -> np.ndarray:
@@ -200,62 +182,18 @@ class HittingTimePMF:
         return np.cumsum(self.probs)
 
     def mean(self) -> float:
-        """E[T], with the truncated tail restored exactly via the chain.
-
-        sum_{k > K} k P(T=k) = pi Q^K [ (K+1)(I-Q)^{-1} + Q (I-Q)^{-2} ] r
-        where Q is the transient block and r the absorption column.
-        """
-        head = float(np.arange(len(self.probs)) @ self.probs)
-        chain = transition_matrix(self.p)
-        n = chain.n
-        q = chain.matrix[1:, 1:]
-        r = chain.matrix[1:, 0]
-        pi = chain.initial[1:]
-        k = self.k_max
-        inv = np.linalg.inv(np.eye(n) - q)
-        qk = np.linalg.matrix_power(q, k)
-        tail = float(pi @ qk @ ((k + 1) * inv + q @ (inv @ inv)) @ r)
-        return head + tail
+        """E[T], with the truncated tail restored exactly
+        (:func:`levelchain.mean`)."""
+        return levelchain.mean(self.p.tolist(), self.probs.tolist())
 
 
 def exact_hitting_pmf(p, k_max: int | None = None) -> HittingTimePMF:
-    """The convolution of n geometric pmfs (success p_i, support k >= 1),
-    in one O(n * k_max) forward pass over k.
-
-    ``stage[i]`` holds P(S_i = k) for S_i = T_1 + ... + T_i, updated by
-    P(S_i = k) = (1 - p_i) P(S_i = k - 1) + p_i P(S_{i-1} = k - 1).  With
-    ``k_max=None`` the pass stops at the first k whose cumulative mass
-    reaches 1 - PMF_TAIL.  A truncation past PMF_MAX_K raises
-    ``BudgetExceededError``.  A default truncation is refused before the
-    pass when (1 - p_min)^PMF_MAX_K > 2·PMF_TAIL: T >= G_min, the slowest
-    geometric, so P(T > PMF_MAX_K) >= (1 - p_min)^PMF_MAX_K, and the factor
-    2 keeps the pass's rounding from flipping a decision near the boundary.
-    """
+    """The law of :func:`levelchain.hitting_pmf`, its refusals included, as
+    arrays: P(T = k) for k = 0..k_max, by default up to a tail of at most
+    PMF_TAIL."""
     p = validate_probabilities(p)
-    require_positive(p)
-    if k_max is not None and k_max < 0:
-        raise ValueError(f"truncation must be >= 0, got {k_max}")
-    if k_max is not None and k_max > PMF_MAX_K:
-        raise BudgetExceededError(f"pmf truncation {k_max} exceeds budget {PMF_MAX_K}")
-    tail_past_budget = f"pmf tail mass stays above {PMF_TAIL} past k = {PMF_MAX_K}"
-    if k_max is None and (1.0 - float(p.min())) ** PMF_MAX_K > 2 * PMF_TAIL:
-        raise BudgetExceededError(tail_past_budget)
-    n = len(p)
-    stages = [(i, 1.0 - pi, pi) for i, pi in zip(range(n, 0, -1), p[::-1].tolist())]
-    stage = [1.0] + [0.0] * n
-    probs = [stage[n]]
-    mass = probs[0]
-    last = PMF_MAX_K if k_max is None else k_max
-    while len(probs) <= last and (k_max is not None or mass < 1.0 - PMF_TAIL):
-        for i, stay, move in stages:
-            stage[i] = stay * stage[i] + move * stage[i - 1]
-        stage[0] = 0.0
-        probs.append(stage[n])
-        mass += stage[n]
-    if k_max is None and mass < 1.0 - PMF_TAIL:
-        raise BudgetExceededError(tail_past_budget)
-    probs = np.array(probs)
-    return HittingTimePMF(p=p, probs=probs, tail_mass=float(1.0 - probs.sum()))
+    probs, tail_mass = levelchain.hitting_pmf(p, k_max)
+    return HittingTimePMF(p=p, probs=np.array(probs), tail_mass=tail_mass)
 
 
 @dataclass(frozen=True)
@@ -507,7 +445,7 @@ def _letters(bounds: np.ndarray, draws: np.ndarray) -> np.ndarray:
 def validate_simulation(n: int, p, trials: int, seed: int, mode: str) -> np.ndarray:
     """The checks :func:`simulate` makes before any trial; returns p as an array."""
     p = validate_probabilities(p)
-    require_positive(p)
+    levelchain.require_positive(p)
     if len(p) != n:
         raise ValueError(f"probability vector length {len(p)} != n = {n}")
     if not _is_int(trials) or trials < 1:

@@ -112,6 +112,42 @@ def test_chain_output(capsys):
     assert payload["matrix"][1] == [0.3, 0.7, 0.0]
 
 
+# (n, p): the CLI reads p as printed here, so it parses the same floats
+CHAIN_GRID = [
+    (2, (0.5, 0.5)), (2, (0.999, 0.001)), (2, (0.3, 0.7)),
+    (3, (0.2, 0.3, 0.5)), (3, (0.1, 0.1, 0.8)),
+    (4, (0.1, 0.2, 0.3, 0.4)), (4, (0.25, 0.25, 0.25, 0.25)),
+    (5, (0.1, 0.15, 0.2, 0.25, 0.3)), (5, (0.02, 0.92, 0.02, 0.02, 0.02)),
+]
+
+
+def api_chain_text(p, fmt):
+    chain = stochastic.transition_matrix(p)
+    if fmt == "json":
+        record = {"matrix": chain.matrix.tolist(), "initial": chain.initial.tolist()}
+        return json.dumps(record) + "\n"
+    return "".join(" ".join(f"{v:.12g}" for v in row) + "\n" for row in chain.matrix)
+
+
+def api_pmf_text(p, k_max, fmt):
+    pmf = stochastic.exact_hitting_pmf(p, k_max=k_max)
+    if fmt == "json":
+        return json.dumps({"probs": pmf.probs.tolist(), "tail_mass": pmf.tail_mass,
+                           "mean": pmf.mean()}) + "\n"
+    rows = [f"P(T={k})={prob:.12g}" for k, prob in enumerate(pmf.probs)]
+    return "".join(row + "\n" for row in rows + [f"tail={pmf.tail_mass:.12g}"])
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("n, p", CHAIN_GRID, ids=[",".join(map(str, p)) for _, p in CHAIN_GRID])
+def test_chain_and_pmf_print_what_the_api_computes(n, p, fmt, capsys):
+    base = ["--n", str(n), "--p", ",".join(map(repr, p)), "--format", fmt]
+    assert capture(capsys, ["chain", *base]) == (0, api_chain_text(p, fmt))
+    for k_max in (None, 0, 5, 40):
+        k_arg = [] if k_max is None else ["--k", str(k_max)]
+        assert capture(capsys, ["pmf", *base, *k_arg]) == (0, api_pmf_text(p, k_max, fmt))
+
+
 def test_usage_errors(capsys):
     assert run(["reduce", "--n", "2", "--word", "5"]) == 2
     assert run(["nonsense"]) == 2

@@ -1,4 +1,5 @@
-"""The algebra loads no numpy, and nothing at run time loads scipy.
+"""The algebra and the level chain's exact law load no numpy, and nothing
+at run time loads scipy.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported both.
@@ -48,9 +49,12 @@ def loaded_after(argv):
     (["enumerate", "--n", "3"], []),
     (["ball", "--n", "3", "--center", "1", "--r", "1"], []),
     (["rset", "--n", "3"], []),
-    (["pmf", "--n", "2", "--p", "0.5,0.5", "--k", "4"], ["numpy"]),
+    (["pmf", "--n", "2", "--p", "0.5,0.5", "--k", "4"], []),
+    (["pmf", "--n", "2", "--p", "0.5,0.5", "--k", "4", "--format", "json"], []),
+    (["pmf", "--n", "3", "--p", "0.2,0.3,0.5"], []),
     (["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "100", "--seed", "1"], ["numpy"]),
-    (["chain", "--n", "2", "--p", "0.3,0.7"], ["numpy"]),
+    (["chain", "--n", "2", "--p", "0.3,0.7"], []),
+    (["chain", "--n", "2", "--p", "0.3,0.7", "--format", "json"], []),
     (["verify", "--n", "2", "--report", REPORT], ["numpy"]),
 ])
 def test_cli_commands_load_only_what_they_need(argv, modules, tmp_path):
@@ -62,6 +66,14 @@ def test_cli_commands_load_only_what_they_need(argv, modules, tmp_path):
 
 def test_import_kiselman_loads_neither_numpy_nor_scipy():
     probe = "import sys, kiselman; print(sorted({'numpy', 'scipy'} & sys.modules.keys()))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=300)
+    assert result.stdout == "[]\n", result.stderr
+
+
+def test_import_levelchain_loads_neither_numpy_nor_scipy():
+    probe = ("import sys, kiselman.levelchain; "
+             "print(sorted({'numpy', 'scipy'} & sys.modules.keys()))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             timeout=300)
     assert result.stdout == "[]\n", result.stderr

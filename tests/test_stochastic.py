@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from kiselman import core, stochastic as st
+from kiselman import core, levelchain, stochastic as st
 from kiselman.enumeration import BudgetExceededError, enumerate_elements
 from conftest import sample_from_pmf
 
@@ -149,13 +149,101 @@ def test_chain_cdf_truncation_budget():
         st.chain_hitting_cdf([0.5, 0.5], st.PMF_MAX_K + 1)
 
 
-def test_pmf_support_budget():
+def test_pmf_support_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         st.exact_hitting_pmf([0.5, 0.5], k_max=st.PMF_MAX_K + 1)
-    assert st.exact_hitting_pmf([0.5, 0.5], k_max=st.PMF_MAX_K).k_max == st.PMF_MAX_K
     # about 20 / 1e-7 terms are needed: past the budget
     with pytest.raises(BudgetExceededError):
         st.exact_hitting_pmf([1.0 - 1e-7, 1e-7])
+    # the edge of the budget, at a budget whose whole pass is cheap
+    monkeypatch.setattr(levelchain, "PMF_MAX_K", 1000)
+    assert st.exact_hitting_pmf([0.5, 0.5], k_max=1000).k_max == 1000
+    with pytest.raises(BudgetExceededError):
+        st.exact_hitting_pmf([0.5, 0.5], k_max=1001)
+
+
+def numpy_validation(p):
+    """The numpy checks that ``levelchain.validate_probabilities`` replaced,
+    kept as the reference for its refusals."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or len(p) < 2:
+        raise ValueError("need a probability vector of length n >= 2")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if (p < 0).any():
+        raise ValueError("probabilities must be nonnegative")
+    if abs(p.sum() - 1.0) > st.PROBABILITY_SUM_TOL:
+        raise ValueError("probabilities do not sum to 1")
+    return p
+
+
+def refused(validate, p) -> bool:
+    try:
+        validate(p)
+    except ValueError:
+        return True
+    return False
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("p", [
+    [], [0.5], 0.5, "0.5,0.5", [[0.5, 0.5]], [[0.5], [0.5]], np.array([[0.5, 0.5]]),
+    [NAN, 0.5], [0.5, NAN], [INF, 0.5], [0.5, -INF], [-0.5, 1.5], [0.6, 0.5, -0.1],
+    [0.5, 0.4], [0.5, 0.5 + 2e-12], [0.5, 0.5 - 2e-12], [0.3] * 4,
+], ids=repr)
+def test_refusals_match_the_numpy_checks(p):
+    assert refused(numpy_validation, p)
+    assert refused(levelchain.validate_probabilities, p)
+    assert refused(st.validate_probabilities, p)
+
+
+def test_accepted_vectors_give_the_same_floats():
+    rng = np.random.default_rng(37)
+    vectors = [[0.5, 0.5], [1, 0], (0.2, 0.3, 0.5), [0.5, 0.5 + 5e-13], np.array([0.3, 0.7]),
+               ["0.25", "0.75"], [0.1] * 10]
+    vectors += [random_positive_p(rng, n) for n in range(2, 12) for _ in range(5)]
+    for p in vectors:
+        expected = numpy_validation(p).tolist()
+        assert list(levelchain.validate_probabilities(p)) == expected
+        assert st.validate_probabilities(p).tolist() == expected
+
+
+@pytest.mark.parametrize("p", [[1.0, 0.0], [0.0, 0.5, 0.5]])
+def test_a_zero_probability_is_refused_by_the_pass(p):
+    assert (numpy_validation(p) <= 0).any()
+    with pytest.raises(ValueError, match="positive probability"):
+        levelchain.hitting_pmf(p)
+    with pytest.raises(ValueError, match="positive probability"):
+        st.exact_hitting_pmf(p)
+
+
+def numpy_mean(pmf) -> float:
+    """E[T] by numpy's inverse and matrix power, the formula that
+    ``levelchain.tail_mean`` evaluates by substitution and squaring."""
+    head = float(np.arange(len(pmf.probs)) @ pmf.probs)
+    chain = st.transition_matrix(pmf.p)
+    q = chain.matrix[1:, 1:]
+    r = chain.matrix[1:, 0]
+    pi = chain.initial[1:]
+    k = pmf.k_max
+    inv = np.linalg.inv(np.eye(chain.n) - q)
+    qk = np.linalg.matrix_power(q, k)
+    return head + float(pi @ qk @ ((k + 1) * inv + q @ (inv @ inv)) @ r)
+
+
+def test_mean_matches_the_numpy_formula():
+    # the grid of selftest.check_pmf_mean, each p also at short truncations
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4, 5):
+        for _ in range(25):
+            p = random_positive_p(rng, n)
+            for k_max in (None, 0, 5, 40):
+                pmf = st.exact_hitting_pmf(p, k_max)
+                assert pmf.mean() == pytest.approx(numpy_mean(pmf), rel=1e-12, abs=0)
+    pmf = st.exact_hitting_pmf([1.0 - 3e-5, 3e-5])
+    assert pmf.mean() == pytest.approx(numpy_mean(pmf), rel=1e-12, abs=0)
 
 
 def test_hopeless_default_truncation_is_refused_before_the_pass():
