@@ -3,17 +3,20 @@
 Exit codes: 0 success, 1 verification failure, 2 usage, input or I/O
 error, 3 budget exceeded.  All randomized subcommands require an explicit
 --seed.
+
+Each command imports the modules it calls, and ``json`` only where it
+prints JSON: a process compiles what its command runs, nothing more.  The
+calls go through module attributes, so a patched module function is the
+one called.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-import kiselman
-from kiselman import core, enumeration, level_metric, levelchain, morphisms
+from kiselman import core
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -33,14 +36,28 @@ def _element(args, attr="word") -> core.Element:
     return core.reduce(args.n, core.parse_word(getattr(args, attr)))
 
 
+def _print_json(value, sort_keys: bool = False) -> None:
+    import json
+
+    print(json.dumps(value, sort_keys=sort_keys))
+
+
 def _emit(args, plain: str, record: dict) -> None:
     if args.format == "json":
-        print(json.dumps(record, sort_keys=True))
+        _print_json(record, sort_keys=True)
     elif args.format == "tsv":
         print("\t".join(" ".join(map(str, v)) if isinstance(v, list) else str(v)
                         for v in record.values()))
     else:
         print(plain)
+
+
+def _print_elements(args, elements) -> None:
+    if args.format == "json":
+        _print_json([core.format_word(x.letters) for x in elements])
+    else:
+        for x in elements:
+            print(core.format_word(x.letters))
 
 
 def _json_number(value: float) -> float | None:
@@ -141,7 +158,7 @@ def run(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except enumeration.BudgetExceededError as exc:
+    except core.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except AssertionError as exc:  # CrosscheckError and every internal spot check
@@ -168,18 +185,26 @@ def _dispatch(args) -> int:
         members = sorted(core.content(_element(args)))
         _emit(args, " ".join(map(str, members)), {"content": members})
     elif args.command == "delete":
+        from kiselman import morphisms
+
         members = frozenset(core.validate_word(args.n, core.parse_word(args.set)))
         z = morphisms.delete(members, _element(args))
         _emit(args, str(z), {"element": core.format_word(z.letters), "rank": args.n})
     elif args.command == "level":
+        from kiselman import level_metric
+
         x = _element(args)
         lvl = level_metric.level_by_definition(x)
         _emit(args, str(lvl), {"element": core.format_word(x.letters), "level": lvl})
     elif args.command == "m":
+        from kiselman import level_metric
+
         x = _element(args)
         val = level_metric.m_function(x)
         _emit(args, str(val), {"element": core.format_word(x.letters), "m": val})
     elif args.command == "dist":
+        from kiselman import level_metric
+
         x = core.reduce(args.n, core.parse_word(args.x))
         y = core.reduce(args.n, core.parse_word(args.y))
         d = level_metric.distance(x, y)
@@ -189,19 +214,18 @@ def _dispatch(args) -> int:
             {"x": core.format_word(x.letters), "y": core.format_word(y.letters), "d": d},
         )
     elif args.command == "enumerate":
+        from kiselman import enumeration
+
         if args.table:
             if args.format != "plain":
                 raise ValueError("--table prints TSV and takes no --format")
             for n, count in enumeration.cardinality_table(max_rank=args.n, cap=args.cap):
                 print(f"{n}\t{count}")
             return EXIT_OK
-        universe = enumeration.enumerate_elements(args.n, cap=args.cap)
-        if args.format == "json":
-            print(json.dumps([core.format_word(x.letters) for x in universe]))
-        else:
-            for x in universe:
-                print(core.format_word(x.letters))
+        _print_elements(args, enumeration.enumerate_elements(args.n, cap=args.cap))
     elif args.command in ("ball", "sphere", "rset"):
+        from kiselman import enumeration, level_metric
+
         universe = enumeration.enumerate_elements(args.n)
         if args.command == "rset":
             members = level_metric.r_set(universe)
@@ -209,30 +233,32 @@ def _dispatch(args) -> int:
             center = core.reduce(args.n, core.parse_word(args.center))
             fn = level_metric.ball if args.command == "ball" else level_metric.sphere
             members = fn(universe, center, args.r)
-        if args.format == "json":
-            print(json.dumps([core.format_word(x.letters) for x in members]))
-        else:
-            for x in members:
-                print(core.format_word(x.letters))
+        _print_elements(args, members)
     elif args.command == "chain":
+        from kiselman import levelchain
+
         rows = levelchain.transition_rows(_probs(args))
         if args.format == "json":
-            print(json.dumps({"matrix": rows,
-                              "initial": levelchain.initial_distribution(args.n)}))
+            _print_json({"matrix": rows, "initial": levelchain.initial_distribution(args.n)})
         else:
             for row in rows:
                 print(" ".join(f"{v:.12g}" for v in row))
     elif args.command == "pmf":
+        from kiselman import levelchain
+
         p = _probs(args)
         probs, tail_mass = levelchain.hitting_pmf(p, k_max=args.k)
         if args.format == "json":
-            print(json.dumps({"probs": probs, "tail_mass": tail_mass,
-                              "mean": levelchain.mean(p, probs)}))
+            _print_json({"probs": probs, "tail_mass": tail_mass,
+                         "mean": levelchain.mean(p, probs)})
         else:
             for k, prob in enumerate(probs):
                 print(f"P(T={k})={prob:.12g}")
             print(f"tail={tail_mass:.12g}")
     elif args.command == "simulate":
+        import json
+
+        import kiselman
         from kiselman import stochastic  # numpy: loaded by simulate and verify only
 
         p = stochastic.validate_simulation(args.n, _probs(args), args.trials, args.seed, args.mode)
@@ -262,11 +288,11 @@ def _dispatch(args) -> int:
             raise ValueError(f"--n is {args.n} but the report has rank {report.rank}")
         pmf = stochastic.exact_hitting_pmf(report.p)
         verdict = stochastic.verify_distribution(report, pmf, args.tv_bound, args.pvalue_floor)
-        print(json.dumps({
+        _print_json({
             "tv_distance": verdict.tv_distance,
             "chi2_pvalue": _json_number(verdict.chi2_pvalue),
             "passed": verdict.passed,
-        }, sort_keys=True))
+        }, sort_keys=True)
         if not verdict.passed:
             return EXIT_VERIFY_FAILED
     elif args.command == "selftest":

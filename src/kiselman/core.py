@@ -12,9 +12,19 @@ equal iff their ranks and canonical words coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from kiselman._reduce_py import extend, reduce_word
+
+_set_field = object.__setattr__
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation would exceed its budget: the enumeration cap, the
+    oracle's word universe, the exact pmf's support, a simulated trial's
+    step count or a partial product's horizon.
+
+    It is every budget's one refusal, and it lives here, beside the
+    algebra, so that the CLI maps it to exit 3 having loaded only ``core``.
+    """
 
 
 class MalformedWordError(ValueError):
@@ -50,16 +60,46 @@ def validate_word(rank: int, letters) -> tuple[int, ...]:
     return letters
 
 
-@dataclass(frozen=True)
-class Element:
+class Frozen:
+    """A record whose fields are set once, by ``__init__`` through
+    ``_set_field``: what a frozen dataclass is, written out, since importing
+    ``dataclasses`` (and the ``inspect`` it loads) costs every CLI process
+    more than the command it runs.  A subclass names its fields in
+    ``_fields`` and defines ``__eq__`` and ``__hash__`` on them."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Element(Frozen):
     """An element of K_n, keyed by its canonical word.
 
     Construct through :func:`reduce` (or the named constructors below);
     instantiating with a non-canonical word breaks equality semantics.
     """
 
-    rank: int
-    letters: tuple[int, ...]
+    _fields = ("rank", "letters")
+
+    def __init__(self, rank: int, letters: tuple[int, ...]):
+        _set_field(self, "rank", rank)
+        _set_field(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.letters) == (other.rank, other.letters)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.letters))
 
     def __mul__(self, other: "Element") -> "Element":
         return multiply(self, other)

@@ -17,27 +17,20 @@ bound.  A union keeps the shortlex-earlier root, so each class is named by
 its least word; running the closure at two consecutive bounds and
 comparing the roots of the short words is the slack-stability check.
 
-``BudgetExceededError`` is every budget's refusal, the stochastic layer's
-too; it lives here so that the CLI maps it to exit 3 without numpy.
+Every budget here refuses with ``BudgetExceededError``, which is defined
+once, in ``core``, and re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iter_product
 
-from kiselman.core import Element
+from kiselman.core import BudgetExceededError, Element, Frozen, _set_field
 from kiselman.morphisms import delete
 
 ORACLE_SLACK = 2  # extra word length over max_len within which relations apply
 ORACLE_BUDGET = 5_000_000  # largest word universe the oracle materializes
-
-
-class BudgetExceededError(RuntimeError):
-    """A computation would exceed its budget: the enumeration cap, the
-    oracle's word universe, the exact pmf's support, a simulated trial's
-    step count or a partial product's horizon."""
 
 
 class OracleInstabilityError(RuntimeError):
@@ -45,13 +38,23 @@ class OracleInstabilityError(RuntimeError):
     is too small to trust."""
 
 
-@dataclass(frozen=True)
-class ElementList:
+class ElementList(Frozen):
     """All of K_n in shortlex order, as built by a shortlex walk of the
     canonical-word automaton."""
 
-    rank: int
-    elements: tuple[Element, ...]
+    _fields = ("rank", "elements")
+
+    def __init__(self, rank: int, elements: tuple[Element, ...]):
+        _set_field(self, "rank", rank)
+        _set_field(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.elements) == (other.rank, other.elements)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -145,14 +148,28 @@ def enumerate_elements(n: int, cap: int = 1_000_000) -> ElementList:
     return ElementList(rank=n, elements=tuple([Element(n, w) for w in words]))
 
 
-@dataclass(frozen=True)
-class CongruencePartition:
-    """Partition of all words of length <= max_len into congruence classes."""
+class CongruencePartition(Frozen):
+    """Partition of all words of length <= max_len into congruence classes.
 
-    rank: int
-    max_len: int
-    class_ids: dict  # word tuple -> class id (ids are dense, ordered by least word)
-    least_words: tuple  # class id -> the shortlex-least word of the class
+    ``class_ids`` maps each word tuple to its class id (ids are dense,
+    ordered by least word); ``least_words[id]`` is the shortlex-least word
+    of class ``id``.  An instance is unhashable, since ``class_ids`` is a
+    dict.
+    """
+
+    _fields = ("rank", "max_len", "class_ids", "least_words")
+
+    def __init__(self, rank: int, max_len: int, class_ids: dict, least_words: tuple):
+        _set_field(self, "rank", rank)
+        _set_field(self, "max_len", max_len)
+        _set_field(self, "class_ids", class_ids)
+        _set_field(self, "least_words", least_words)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.max_len, self.class_ids, self.least_words) == (
+                other.rank, other.max_len, other.class_ids, other.least_words)
+        return NotImplemented
 
     @property
     def num_classes(self) -> int:

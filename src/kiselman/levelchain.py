@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from kiselman.enumeration import BudgetExceededError
+from kiselman.core import BudgetExceededError
 
 PROBABILITY_SUM_TOL = 1e-12  # largest accepted |sum(p) - 1|
 PMF_TAIL = 1e-9  # the default pmf truncation leaves at most this much tail mass

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kiselman import levelchain
-from kiselman.core import Element, idempotent, multiply, unit, validate_word
-from kiselman.enumeration import BudgetExceededError
+from kiselman.core import BudgetExceededError, Element, idempotent, multiply, unit, validate_word
 from kiselman.level_metric import g, level_by_definition
 from kiselman.levelchain import PMF_MAX_K, PMF_TAIL, PROBABILITY_SUM_TOL  # noqa: F401
 

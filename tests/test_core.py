@@ -181,3 +181,30 @@ def test_append_generator_matches_reducer(universe4):
         for _ in range(3000):
             canonical = reduce_reference(_random_word(rng, n, 40))
             _assert_append_matches_reducer(core.Element(n, canonical))
+
+
+def test_element_behaves_as_a_frozen_record():
+    import copy
+    import pickle
+
+    x = core.Element(rank=3, letters=(1, 2))
+    assert repr(x) == "Element(rank=3, letters=(1, 2))"
+    assert x == core.reduce(3, (1, 2)) and hash(x) == hash(core.reduce(3, (1, 2)))
+    assert x != core.Element(2, (1, 2)) and x != core.Element(3, (2, 1))
+    assert x != (3, (1, 2)) and (3, (1, 2)) != x
+    for change in (lambda: setattr(x, "rank", 4), lambda: delattr(x, "letters"),
+                   lambda: setattr(x, "other", 0)):
+        with pytest.raises(AttributeError):
+            change()
+    assert x.rank == 3 and x.letters == (1, 2)
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert twin == x and twin is not x and repr(twin) == repr(x)
+    assert {x: 1}[core.reduce(3, (1, 1, 2))] == 1
+
+
+def test_budget_refusal_is_defined_once():
+    from kiselman import enumeration, levelchain, stochastic
+
+    assert enumeration.BudgetExceededError is core.BudgetExceededError
+    assert levelchain.BudgetExceededError is core.BudgetExceededError
+    assert stochastic.BudgetExceededError is core.BudgetExceededError

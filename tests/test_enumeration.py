@@ -125,3 +125,41 @@ def test_cardinality_table_counts_to_rank_10():
 def test_cardinality_table_below_rank_2_is_rejected():
     with pytest.raises(ValueError):
         enumeration.cardinality_table(max_rank=1)
+
+
+def test_element_list_and_partition_behave_as_frozen_records():
+    import copy
+    import pickle
+
+    universe = enumeration.enumerate_elements(2)
+    assert repr(universe) == (
+        "ElementList(rank=2, elements=(Element(rank=2, letters=()), "
+        "Element(rank=2, letters=(1,)), Element(rank=2, letters=(2,)), "
+        "Element(rank=2, letters=(1, 2)), Element(rank=2, letters=(2, 1))))"
+    )
+    twin = enumeration.ElementList(rank=2, elements=universe.elements)
+    assert twin == universe and hash(twin) == hash(universe)
+    assert universe != enumeration.enumerate_elements(3) and universe != (2, universe.elements)
+    assert twin.index[core.reduce(2, (2, 1, 2))] == 4
+    assert twin.truncations == universe.truncations == ((0, 1, 2, 3, 4), (0, 0, 2, 2, 2),
+                                                        (0, 0, 0, 0, 0))
+    for change in (lambda: setattr(universe, "rank", 3), lambda: delattr(universe, "elements")):
+        with pytest.raises(AttributeError):
+            change()
+    for copied in (copy.copy(universe), pickle.loads(pickle.dumps(universe))):
+        assert copied == universe and len(copied) == 5 and list(copied) == list(universe)
+
+    partition = enumeration.congruence_oracle(2, 1)
+    assert repr(partition) == (
+        "CongruencePartition(rank=2, max_len=1, class_ids={(): 0, (1,): 1, (2,): 2}, "
+        "least_words=((), (1,), (2,)))"
+    )
+    assert partition == enumeration.CongruencePartition(
+        rank=2, max_len=1, class_ids=dict(partition.class_ids),
+        least_words=partition.least_words)
+    assert partition != enumeration.congruence_oracle(2, 2)
+    with pytest.raises(TypeError):
+        hash(partition)
+    with pytest.raises(AttributeError):
+        partition.max_len = 2
+    assert pickle.loads(pickle.dumps(partition)) == partition == copy.copy(partition)
