@@ -8,14 +8,18 @@ the words accepted by a finite automaton: K_n is enumerated by a shortlex
 walk of that automaton, and |K_n| is its number of accepted words, a path
 count.  Neither calls ``multiply`` or the reducer.
 
-The oracle materializes all words up to a length bound and computes the
-congruence generated by the defining relations by union-find, applying
-every shortening relation instance in every context.  Because each
-relation instance connects a longer word to a shorter one, processing
-words in shortlex order discovers exactly the edges available within the
-bound.  A union keeps the shortlex-earlier root, so each class is named by
-its least word; running the closure at two consecutive bounds and
-comparing the roots of the short words is the slack-stability check.
+The oracle computes the congruence generated by the defining relations
+on all words up to a length bound, applying every shortening relation
+instance in every context, as the connected components of the relation
+graph.  A word's index is its shortlex position, so each relation instance
+is an arithmetic map from the indices of one length to those of the next
+shorter, and the edges are numpy arrays generated block by block; min-label
+propagation with pointer jumping names each class by its least index, which
+is its least word.  Running the closure at two consecutive bounds and
+comparing the roots of the short words is the slack-stability check.  The
+oracle never calls the reducer, ``multiply`` or the automaton.  It loads
+numpy only after the word universe is checked against its budget, so
+importing this module loads no numpy, and a refusal loads none either.
 
 Every budget here refuses with ``BudgetExceededError``, which is defined
 once, in ``core``, and re-exported here.
@@ -30,7 +34,7 @@ from kiselman.core import BudgetExceededError, Element, Frozen, _set_field
 from kiselman.morphisms import delete
 
 ORACLE_SLACK = 2  # extra word length over max_len within which relations apply
-ORACLE_BUDGET = 5_000_000  # largest word universe the oracle materializes
+ORACLE_BUDGET = 5_000_000  # largest word universe the oracle closes
 
 
 class OracleInstabilityError(RuntimeError):
@@ -194,50 +198,74 @@ def _subsets(n: int):
         yield from map(frozenset, combinations(items, k))
 
 
-def _closure_roots(n: int, max_len: int):
-    """Union-find congruence closure at bounds max_len + ORACLE_SLACK and
-    one more: the words, and the root of each word of length <= max_len at
-    both bounds.  Words are indexed in shortlex order and a union keeps the
-    smaller index, so a root is its class's least word, which is no longer
-    than any member: the root lists are equal iff the partitions are."""
+def _closure_roots(n: int, max_len: int) -> tuple[list[int], list[int]]:
+    """The congruence closure at bounds max_len + ORACLE_SLACK and one
+    more, as connected components: the root of each word of length
+    <= max_len at both bounds.
+
+    A word of length L has index off[L] plus its base-n value, so indices
+    are in shortlex order, and a relation instance at position p maps a
+    length-L index to a length-(L - 1) index by arithmetic.  The edges are
+    generated one (length, position, relation) block at a time.  Every
+    label is a smaller-or-equal index in the same component; a pass hooks
+    the larger label of each edge's ends to the smaller (``minimum.at``),
+    and pointer jumping (``label = label[label]``) then flattens the
+    trees.  At the fixpoint every edge joins equal labels and each label is
+    its component's least index, which is its class's least word, no longer
+    than any member: the root lists are equal iff the partitions are.
+    Only the caller's budget check bounds the universe, so numpy is loaded
+    here, after it.
+    """
+    import numpy as np
+
     bound = max_len + ORACLE_SLACK
-    words = list(_all_words(n, bound + 1))
-    index = {w: k for k, w in enumerate(words)}
-    parent = list(range(len(words)))
-    # the positions of the first words longer than max_len and than bound
-    keep, split = index[(1,) * (max_len + 1)], index[(1,) * (bound + 1)]
+    off = [0]  # off[L]: the index of the first word of length L
+    for length in range(bound + 2):
+        off.append(off[-1] + n**length)
+    # ORACLE_BUDGET caps n ** (bound + 1), so every index fits in int32
+    label = np.arange(off[-1], dtype=np.int32)
+    # the (source, target) digits of the relation instances, digit d standing
+    # for the letter a_(d + 1): a_i a_i -> a_i on two letters, and
+    # a_i a_j a_i -> a_i a_j and a_j a_i a_j -> a_i a_j (j < i) on three
+    pairs = np.array([(i * n + i, i) for i in range(n)], dtype=np.int32)
+    triples = np.array(
+        [(i * n * n + j * n + i, i * n + j) for i in range(n) for j in range(i)]
+        + [(j * n * n + i * n + j, i * n + j) for i in range(n) for j in range(i)],
+        dtype=np.int32,
+    )
 
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
+    def edges(length: int):
+        for width, digits in ((2, pairs), (3, triples)):
+            for p in range(length - width + 1):
+                tail = n ** (length - width - p)
+                prefix = np.arange(n**p, dtype=np.int32)[:, None, None]
+                suffix = np.arange(tail, dtype=np.int32)
+                source = digits[:, 0, None] * tail + suffix + off[length]
+                target = digits[:, 1, None] * tail + suffix + off[length - 1]
+                yield (
+                    (prefix * n ** (length - p) + source).ravel(),
+                    (prefix * n ** (length - p - 1) + target).ravel(),
+                )
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    def close(top: int) -> list[int]:
+        while True:
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label[:] = jumped
+            changed = False
+            for length in range(2, top + 1):
+                for source, target in edges(length):
+                    a, b = label[source], label[target]
+                    differ = a != b
+                    if differ.any():
+                        changed = True
+                        np.minimum.at(label, np.maximum(a, b)[differ], np.minimum(a, b)[differ])
+            if not changed:
+                return label[: off[max_len + 1]].tolist()
 
-    for k, w in enumerate(words):
-        if k == split:
-            roots_small = [find(j) for j in range(keep)]
-        length = len(w)
-        for p in range(length - 1):
-            a, b = w[p], w[p + 1]
-            if a == b:
-                # a_i a_i -> a_i
-                union(k, index[w[: p + 1] + w[p + 2 :]])
-            if p + 2 < length:
-                c = w[p + 2]
-                if a == c and b < a:
-                    # a_i a_j a_i -> a_i a_j  (j < i)
-                    union(k, index[w[: p + 2] + w[p + 3 :]])
-                if a == c and b > a:
-                    # a_j a_i a_j -> a_i a_j  (j < i)
-                    union(k, index[w[:p] + (b, a) + w[p + 3 :]])
-    return words, roots_small, [find(j) for j in range(keep)]
+    return close(bound), close(bound + 1)
 
 
 def congruence_oracle(n: int, max_len: int) -> CongruencePartition:
@@ -260,11 +288,12 @@ def congruence_oracle(n: int, max_len: int) -> CongruencePartition:
             raise BudgetExceededError(
                 f"word universe n={n}, bound={bound + 1} exceeds budget {ORACLE_BUDGET}"
             )
-    words, roots_small, roots_large = _closure_roots(n, max_len)
+    roots_small, roots_large = _closure_roots(n, max_len)
     if roots_small != roots_large:
         raise OracleInstabilityError(
             f"classes differ between slack {ORACLE_SLACK} and {ORACLE_SLACK + 1}"
         )
+    words = list(_all_words(n, max_len))
     ids = {root: i for i, root in enumerate(sorted(set(roots_small)))}
     return CongruencePartition(
         rank=n,

@@ -3,8 +3,8 @@ import pytest
 
 from kiselman import congruence_oracle, enumerate_elements, stochastic
 
-# |K_n|.  At n = 2, 3 the automaton's walk equals the oracle's least words of
-# the classes, in order, so its count is the class count
+# |K_n|.  At n = 2, 3, 4 the automaton's walk equals the oracle's least words
+# of the classes, in order, so its count is the class count
 # (``selftest.check_reduction_matches_oracle``); for n <= 6 the walk equals
 # the BFS over ``multiply`` (``selftest.check_enumeration_matches_bfs`` to
 # n = 5, tests/test_enumeration.py at n = 6); n = 7..10 rest on the
