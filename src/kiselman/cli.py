@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage, input or I/O
-error, 3 budget exceeded.  All randomized subcommands require an explicit
---seed.
+Exit codes: 0 success; 1 verification failure, a failing verdict or a
+``core.CrosscheckError``; 2 usage, input or I/O error, a ``ValueError`` or
+an ``OSError``; 3 budget exceeded, a ``core.BudgetExceededError``.  All
+randomized subcommands require an explicit --seed.
 
 Each command imports the modules it calls, and ``json`` only where it
 prints JSON: a process compiles what its command runs, nothing more.  The
@@ -161,10 +162,10 @@ def run(argv=None) -> int:
     except core.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except AssertionError as exc:  # CrosscheckError and every internal spot check
+    except AssertionError as exc:  # core.CrosscheckError, every failed internal check
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

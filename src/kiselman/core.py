@@ -8,6 +8,12 @@ for j < i.  An element is stored as its canonical word (see ``_reduce_py``):
 the one word of the element with no pair of consecutive equal letters
 whose gap lies entirely below or entirely above them.  Two elements are
 equal iff their ranks and canonical words coincide.
+
+The package's own exception classes are all defined here, one per outcome
+of the CLI's exit-code contract: ``CrosscheckError`` for a failed check
+(exit 1), ``MalformedWordError`` and ``RankMismatchError``, both
+``ValueError``s, for bad input (exit 2), and ``BudgetExceededError`` for a
+refusal (exit 3).  Any other bad input raises a plain ``ValueError``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,19 @@ class BudgetExceededError(RuntimeError):
 
     It is every budget's one refusal, and it lives here, beside the
     algebra, so that the CLI maps it to exit 3 having loaded only ``core``.
+    """
+
+
+class CrosscheckError(AssertionError):
+    """An internal cross-check failed: a computed answer disagrees with an
+    independent computation of it, or a loop that a theorem says must end
+    ran out.  The oracle's slack stability, the growth of |K_n|, the
+    distance spot check of balls and spheres, the level computations and
+    the simulation's streams and walks all raise it.
+
+    It is every check's one failure, defined here so that a numpy-free
+    module can raise it and the CLI maps it to exit 1.  It derives from
+    ``AssertionError``, which the CLI and the selftest catch.
     """
 
 

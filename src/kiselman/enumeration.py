@@ -21,8 +21,10 @@ oracle never calls the reducer, ``multiply`` or the automaton.  It loads
 numpy only after the word universe is checked against its budget, so
 importing this module loads no numpy, and a refusal loads none either.
 
-Every budget here refuses with ``BudgetExceededError``, which is defined
-once, in ``core``, and re-exported here.
+Every budget here refuses with ``BudgetExceededError``, and every failed
+check (the oracle's slack stability, the growth of |K_n|) raises
+``CrosscheckError``.  Both are defined once, in ``core``, and re-exported
+here.
 """
 
 from __future__ import annotations
@@ -30,16 +32,13 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, product as iter_product
 
-from kiselman.core import BudgetExceededError, Element, Frozen, _set_field
+from kiselman.core import BudgetExceededError, CrosscheckError, Element, Frozen, _set_field
 from kiselman.morphisms import delete
 
 ORACLE_SLACK = 2  # extra word length over max_len within which relations apply
-ORACLE_BUDGET = 5_000_000  # largest word universe the oracle closes
-
-
-class OracleInstabilityError(RuntimeError):
-    """The congruence classes changed between slack levels; the length bound
-    is too small to trust."""
+# largest word universe n ** (max_len + ORACLE_SLACK + 1) the oracle closes; at
+# the edge, congruence_oracle(2, 17) takes 1.4 s and a 97 MB peak on a 2-CPU VM
+ORACLE_BUDGET = 1 << 20
 
 
 class ElementList(Frozen):
@@ -290,8 +289,8 @@ def congruence_oracle(n: int, max_len: int) -> CongruencePartition:
             )
     roots_small, roots_large = _closure_roots(n, max_len)
     if roots_small != roots_large:
-        raise OracleInstabilityError(
-            f"classes differ between slack {ORACLE_SLACK} and {ORACLE_SLACK + 1}"
+        raise CrosscheckError(
+            f"oracle classes differ between slack {ORACLE_SLACK} and {ORACLE_SLACK + 1}"
         )
     words = list(_all_words(n, max_len))
     ids = {root: i for i, root in enumerate(sorted(set(roots_small)))}
@@ -312,5 +311,5 @@ def cardinality_table(max_rank: int = 4, cap: int = 1_000_000) -> list[tuple[int
     table = [(n, _automaton(n, cap)[0]) for n in range(2, max_rank + 1)]
     ratios = [b / a for (_, a), (_, b) in zip(table, table[1:])]
     if any(r2 <= r1 for r1, r2 in zip(ratios, ratios[1:])):
-        raise AssertionError(f"growth ratios not increasing: {ratios}")
+        raise CrosscheckError(f"growth ratios not increasing: {ratios}")
     return table

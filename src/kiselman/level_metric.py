@@ -10,12 +10,15 @@ ultrametric with d(x, f) equal to the level of x.
 So d(x, y) <= r iff x and y have the same depth-r truncation: balls and
 spheres are read off the truncation table of the enumeration of K_n (an
 ``ElementList``, which always holds all of K_n), and ``distance``,
-computed by definition, spot-checks each answer.
+computed by definition, spot-checks each answer.  A failed spot check, or a
+search by definition that runs out although a theorem says it cannot,
+raises ``CrosscheckError``.
 """
 
 from __future__ import annotations
 
 from kiselman.core import (
+    CrosscheckError,
     Element,
     RankMismatchError,
     idempotent,
@@ -38,7 +41,7 @@ def level_by_definition(x: Element) -> int:
         rest = idempotent(n, range(i + 1, n + 1))
         if delete(_interval(i), x) == rest:
             return i
-    raise AssertionError("unreachable: i = n always qualifies")
+    raise CrosscheckError("unreachable: i = n always qualifies")
 
 
 def g(i: int, j: int) -> int:
@@ -67,7 +70,7 @@ def m_function(x: Element) -> int:
     for i in range(n + 1):
         if multiply(x, idempotent(n, _interval(i))) == f:
             return i
-    raise AssertionError("unreachable: i = n always qualifies")
+    raise CrosscheckError("unreachable: i = n always qualifies")
 
 
 def level_sets(x: Element) -> tuple[frozenset[int], frozenset[int]]:
@@ -100,7 +103,7 @@ def distance(x: Element, y: Element) -> int:
     for i in range(1, x.rank + 1):
         if delete(_interval(i), x) == delete(_interval(i), y):
             return i
-    raise AssertionError("unreachable: full deletion equalizes everything")
+    raise CrosscheckError("unreachable: full deletion equalizes everything")
 
 
 def _truncation_class(universe, center: Element, r: int):
@@ -116,7 +119,7 @@ def _spot_checked(center: Element, r: int, members: list[Element], exact: bool) 
     if members:
         d = distance(center, members[-1])
         if not (d == r if exact else d <= r):
-            raise AssertionError(f"truncation table disagrees with distance: d = {d}, r = {r}")
+            raise CrosscheckError(f"truncation table disagrees with distance: d = {d}, r = {r}")
     return members
 
 

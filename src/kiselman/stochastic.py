@@ -12,7 +12,10 @@ checks them independently by powers of the transition matrix.
 
 :func:`verify_distribution` alone decides a simulation's verdict, by
 default at the TV bound of :func:`tv_tolerance` and at PVALUE_FLOOR.  Every
-budget here refuses with ``BudgetExceededError``.
+budget here refuses with ``BudgetExceededError``, and every failed
+cross-check of a simulation (a lane's stream against numpy's, a walk's
+level against the chain's) raises ``CrosscheckError``; both are defined
+once, in ``core``, and re-exported here.
 """
 
 from __future__ import annotations
@@ -21,12 +24,20 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from kiselman import levelchain
-from kiselman.core import BudgetExceededError, Element, idempotent, multiply, unit, validate_word
+from kiselman.core import (
+    BudgetExceededError,
+    CrosscheckError,
+    Element,
+    idempotent,
+    multiply,
+    unit,
+    validate_word,
+)
 from kiselman.level_metric import g, level_by_definition
 from kiselman.levelchain import PMF_MAX_K, PMF_TAIL, PROBABILITY_SUM_TOL  # noqa: F401
 
@@ -45,11 +56,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-class CrosscheckError(AssertionError):
-    """A simulation cross-check failed: a lane's stream differs from
-    numpy's, or a walk's level from the chain's."""
 
 
 def validate_probabilities(p) -> np.ndarray:
@@ -235,14 +241,18 @@ class SimulationReport:
     def from_json(cls, text: str) -> SimulationReport:
         """Inverse of :meth:`to_json`; keys it does not write are ignored.
 
-        Raises ``ValueError`` unless the report is a JSON object whose
-        ``rank`` and ``trials`` are ints, ``p`` a list of numbers,
-        ``transition_counts`` an object and ``histogram`` an object from
-        hitting times to counts >= 0 that add up to ``trials`` >= 1.
+        Raises ``ValueError`` unless the report is a JSON object with a key
+        for every field, whose ``rank`` and ``trials`` are ints, ``p`` a list
+        of numbers, ``transition_counts`` an object and ``histogram`` an
+        object from hitting times to counts >= 0 that add up to ``trials``
+        >= 1.
         """
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError(f"a report is a JSON object, got {type(payload).__name__}")
+        for key in (f.name for f in fields(cls)):
+            if key not in payload:
+                raise ValueError(f"report lacks the key {key!r}")
         for key in ("rank", "trials"):
             if not _is_int(payload[key]):
                 raise ValueError(f"report {key} must be an int, got {payload[key]!r}")
@@ -449,8 +459,8 @@ def validate_simulation(n: int, p, trials: int, seed: int, mode: str) -> np.ndar
         raise ValueError(f"probability vector length {len(p)} != n = {n}")
     if not _is_int(trials) or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
-    if operator.index(seed) < 0:
-        raise ValueError(f"the seed must be >= 0, got {seed}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"the seed must be an int >= 0, got {seed!r}")
     if mode not in ("level", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     return p

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kiselman
-from kiselman import level_metric, selftest, stochastic
+from kiselman import enumeration, level_metric, selftest, stochastic
 from kiselman.cli import run
 from conftest import KNOWN_SIZES, sample_from_pmf
 
@@ -103,6 +103,20 @@ def test_ball_sphere_rset(capsys):
     assert set(out.splitlines()) == {"2", "1 2", "2 1"}
     code, out = capture(capsys, ["sphere", "--n", "2", "--center", "2 1", "--r", "2"])
     assert set(out.splitlines()) == {"", "1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3"],
+    ["ball", "--n", "3", "--center", "2 1", "--r", "2"],
+    ["sphere", "--n", "3", "--center", "1 3", "--r", "3"],
+    ["rset", "--n", "3"],
+], ids=["enumerate", "ball", "sphere", "rset"])
+def test_element_list_json_equals_the_plain_lines(argv, capsys):
+    code, plain = capture(capsys, argv)
+    assert code == 0 and plain
+    code, out = capture(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == plain.splitlines()
 
 
 def test_chain_output(capsys):
@@ -274,8 +288,19 @@ def test_selftest_goes_on_past_a_raising_check(monkeypatch, capsys):
     assert out.splitlines() == ["FAIL  raises", "PASS  holds", "1/2 checks passed"]
 
 
+def test_selftest_goes_on_past_an_unstable_oracle(monkeypatch, capsys):
+    # unequal root lists: the oracle's slack-stability check raises CrosscheckError
+    monkeypatch.setattr(enumeration, "_closure_roots", lambda n, max_len: ([0], [1]))
+    oracle = "reduction returns the least word of its congruence class"
+    monkeypatch.setattr(selftest, "CHECKS", [(oracle, dict(selftest.CHECKS)[oracle]),
+                                             ("holds", lambda: True)])
+    code, out = capture(capsys, ["selftest"])
+    assert code == 1
+    assert out.splitlines() == [f"FAIL  {oracle}", "PASS  holds", "1/2 checks passed"]
+
+
 def test_failed_spot_check_exit_code(monkeypatch, capsys):
-    # a distance that lies makes the spot check of ``ball`` raise AssertionError
+    # a distance that lies makes the spot check of ``ball`` raise CrosscheckError
     monkeypatch.setattr(level_metric, "distance", lambda x, y: x.rank + 1)
     assert run(["ball", "--n", "3", "--r", "1"]) == 1
     captured = capsys.readouterr()
@@ -389,6 +414,17 @@ def test_report_without_trials_is_an_input_error(tmp_path, capsys):
         warnings.simplefilter("error")  # no division by zero on the way to the error
         assert run(["verify", "--n", "2", "--report", str(report)]) == 2
     assert "at least one trial" in capsys.readouterr().err
+
+
+def test_report_without_rank_is_an_input_error(tmp_path, capsys):
+    payload = json.loads(stochastic.simulate(2, (0.5, 0.5), trials=100, seed=1).to_json())
+    del payload["rank"]
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert run(["verify", "--n", "2", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "'rank'" in captured.err
 
 
 @pytest.mark.parametrize("edit", [

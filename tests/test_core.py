@@ -118,34 +118,6 @@ def test_canonical_between_occurrence_invariant(data):
             break
 
 
-@given(words, words, words)
-@settings(max_examples=200, deadline=None)
-def test_associativity(d1, d2, d3):
-    n = d1[0]
-    # clamp letters: the three draws may carry different ranks
-    x, y, z = (core.reduce(n, tuple(min(i, n) for i in w[1])) for w in (d1, d2, d3))
-    assert (x * y) * z == x * (y * z)
-
-
-@given(words, words)
-@settings(max_examples=200, deadline=None)
-def test_content_homomorphism(d1, d2):
-    n = d1[0]
-    x = core.reduce(n, d1[1])
-    y = core.reduce(n, tuple(min(i, n) for i in d2[1]))
-    assert core.content(x * y) == core.content(x) | core.content(y)
-
-
-@given(words, words)
-@settings(max_examples=200, deadline=None)
-def test_tau_antiautomorphism(d1, d2):
-    n = d1[0]
-    x = core.reduce(n, d1[1])
-    y = core.reduce(n, tuple(min(i, n) for i in d2[1]))
-    assert core.tau(x * y) == core.tau(y) * core.tau(x)
-    assert core.tau(core.tau(x)) == x
-
-
 def test_word_round_trip():
     w = (2, 1, 3, 2)
     assert core.parse_word(core.format_word(w)) == w
@@ -208,3 +180,12 @@ def test_budget_refusal_is_defined_once():
     assert enumeration.BudgetExceededError is core.BudgetExceededError
     assert levelchain.BudgetExceededError is core.BudgetExceededError
     assert stochastic.BudgetExceededError is core.BudgetExceededError
+
+
+def test_check_failure_is_defined_once():
+    from kiselman import enumeration, level_metric, stochastic
+
+    assert issubclass(core.CrosscheckError, AssertionError)
+    assert enumeration.CrosscheckError is core.CrosscheckError
+    assert level_metric.CrosscheckError is core.CrosscheckError
+    assert stochastic.CrosscheckError is core.CrosscheckError

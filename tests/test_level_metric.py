@@ -96,5 +96,5 @@ def test_corrupt_truncation_table_is_caught(universe2):
     rows = list(universe2.truncations)
     rows[1] = (0,) * len(universe2)  # claims every element is within 1 of every other
     broken.__dict__["truncations"] = tuple(rows)
-    with pytest.raises(AssertionError):
+    with pytest.raises(core.CrosscheckError, match="truncation table disagrees"):
         lm.ball(broken, core.unit(2), 1)

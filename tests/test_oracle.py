@@ -59,3 +59,39 @@ except enumeration.BudgetExceededError:
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             timeout=300)
     assert result.stdout.split() == ["refused", "False"], result.stderr
+
+
+class Admitted(Exception):
+    """Raised in place of the closure: the budget let the call through."""
+
+
+ADMITTED = [(2, 5), (2, 8), (2, 17), (3, 7), (3, 8), (3, 9), (4, 6), (4, 7), (5, 5)]
+REFUSED = [(2, 18), (2, 19), (3, 10), (4, 8), (5, 6), (6, 5)]
+
+
+def test_budget_admits_and_refuses_by_the_word_universe(monkeypatch):
+    def admitted(n, max_len):
+        raise Admitted
+
+    monkeypatch.setattr(enumeration, "_closure_roots", admitted)
+    for n, max_len in ADMITTED:
+        with pytest.raises(Admitted):
+            enumeration.congruence_oracle(n, max_len)
+    for n, max_len in REFUSED:
+        with pytest.raises(enumeration.BudgetExceededError):
+            enumeration.congruence_oracle(n, max_len)
+
+
+def test_the_costliest_old_edge_is_refused_without_numpy():
+    # (2, 19) took 7 s and 311 MB under the old budget of 5,000,000 words
+    probe = """
+import sys
+from kiselman import enumeration
+try:
+    enumeration.congruence_oracle(2, max_len=19)
+except enumeration.BudgetExceededError:
+    print("refused", "numpy" in sys.modules)
+"""
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=300)
+    assert result.stdout.split() == ["refused", "False"], result.stderr

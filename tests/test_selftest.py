@@ -36,3 +36,27 @@ def test_level_wrong_on_one_element_of_k4_is_caught(monkeypatch):
 
     monkeypatch.setattr(level_metric, "level_by_definition", lying)
     assert selftest.check_right_multiplication_law() is False
+
+
+def _tau_fixing_k4(x, tau=core.tau):
+    return x if x.rank == 4 else tau(x)
+
+
+def _content_losing_4(x):
+    return frozenset(x.letters) - ({4} if x.rank == 4 and len(x.letters) > 4 else set())
+
+
+def _multiply_truncating_k4(x, y, multiply=core.multiply):
+    if x.rank == 4 and len(x.letters) >= 5:
+        x = core.Element(4, x.letters[:-1])
+    return multiply(x, y)
+
+
+@pytest.mark.parametrize("name, fault, check", [
+    ("tau", _tau_fixing_k4, selftest.check_tau_antiautomorphism),
+    ("content", _content_losing_4, selftest.check_content_homomorphism),
+    ("multiply", _multiply_truncating_k4, selftest.check_associativity),
+], ids=["tau", "content", "associativity"])
+def test_fault_only_on_k4_is_caught(name, fault, check, monkeypatch):
+    monkeypatch.setattr(core, name, fault)
+    assert check() is False
