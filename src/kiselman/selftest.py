@@ -3,7 +3,8 @@ rank <= 3, save associativity and tau on seeded words of length <= 8 and
 content on every pair of elements, all at rank <= 4; reduction against the
 congruence oracle at rank <= 4 (every word of length <= 8 at ranks 2 and 3,
 and of length <= 6 at rank 4); the laws of the paper's results on all of
-K_2 to K_4; and the enumeration and the stochastic layer to rank 5.
+K_2 to K_4; and the enumeration, its truncation table and ball census, and
+the stochastic layer to rank 5.
 
 Each check is a named predicate over full enumerations or seeded random
 samples, and the one statement of its law.  ``run_selftest`` evaluates all
@@ -26,6 +27,7 @@ WIDE_RANKS = (2, 3, 4)
 # length 6, so all 115 of its classes occur at length 6
 ORACLE_BOUNDS = ((2, 8), (3, 8), (4, 6))
 SAMPLE_LEN = 8  # the longest random word the sampled laws draw
+TRUNCATION_MAX_RANK = 5  # the truncation table is checked entry by entry to K_5
 
 
 def check_defining_relations():
@@ -352,6 +354,26 @@ def check_ball_and_sphere_sizes():
     return True
 
 
+def check_truncation_table():
+    # each entry against delete by definition, and the balls of radius r as
+    # the fibres of K_n onto <a_(r+1), ..., a_n> = K_(n-r), e's being K_r
+    sizes = dict(enumeration.cardinality_table(max_rank=TRUNCATION_MAX_RANK))
+    sizes.update({0: 1, 1: 2})
+    for n in range(2, TRUNCATION_MAX_RANK + 1):
+        universe = enumeration.enumerate_elements(n)
+        index = universe.index
+        for r, row in enumerate(universe.truncations):
+            deleted = range(1, r + 1)
+            if list(row) != [index[morphisms.delete(deleted, x)] for x in universe]:
+                return False
+            classes = universe.classes(r)
+            if len(classes) != sizes[n - r] or sum(map(len, classes.values())) != sizes[n]:
+                return False
+            if len(classes[row[0]]) != sizes[r]:  # e is the first element
+                return False
+    return True
+
+
 def check_r_set_structure():
     # R = {e_{{2..n}}} union {x a_1 e_{{2..m(x)}} : x generated by a_2..a_n}
     for n in RANKS:
@@ -469,6 +491,8 @@ CHECKS = [
     ("distance is an ultrametric", check_ultrametric_axioms),
     ("distance to the zero equals the level", check_distance_to_zero_is_level),
     ("ball and sphere sizes around the zero", check_ball_and_sphere_sizes),
+    ("the truncation table is deletion; its depth-r balls are the fibres onto K_(n-r)",
+     check_truncation_table),
     ("structure of the radius-one ball", check_r_set_structure),
     ("partial products stabilize to the content idempotent", check_partial_product_stabilization),
     ("chain powers agree with geometric convolution", check_chain_vs_convolution),

@@ -105,6 +105,13 @@ def test_ball_sphere_rset(capsys):
     assert set(out.splitlines()) == {"", "1"}
 
 
+def test_ball_of_e_in_k6_prints_k4(capsys):
+    # the ball of radius 4 around e is <a_1, ..., a_4>, which is K_4
+    code, ball = capture(capsys, ["ball", "--n", "6", "--r", "4"])
+    assert code == 0
+    assert ball == capture(capsys, ["enumerate", "--n", "4"])[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--n", "3"],
     ["ball", "--n", "3", "--center", "2 1", "--r", "2"],

@@ -127,6 +127,17 @@ def test_cardinality_table_below_rank_2_is_rejected():
         enumeration.cardinality_table(max_rank=1)
 
 
+def test_truncation_table_calls_no_delete(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the truncation table called delete")
+
+    monkeypatch.setattr(morphisms, "delete", refuse)
+    monkeypatch.setattr(morphisms, "word_delete", refuse)
+    rows = enumeration.enumerate_elements(5).truncations
+    assert len(rows) == 6
+    assert rows[0] == tuple(range(KNOWN_SIZES[5])) and rows[5] == (0,) * KNOWN_SIZES[5]
+
+
 def test_element_list_and_partition_behave_as_frozen_records():
     import copy
     import pickle

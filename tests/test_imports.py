@@ -43,7 +43,7 @@ REPORT = "<report>"
 
 ALGEBRA = {"kiselman", "kiselman.core", "kiselman._reduce_py"}
 METRIC = ALGEBRA | {"kiselman.level_metric", "kiselman.morphisms"}
-ENUMERATION = ALGEBRA | {"kiselman.enumeration", "kiselman.morphisms"}
+ENUMERATION = ALGEBRA | {"kiselman.enumeration"}
 CHAIN = ALGEBRA | {"kiselman.levelchain"}
 STOCHASTIC = METRIC | {"kiselman.levelchain", "kiselman.stochastic",
                        "numpy", "dataclasses", "inspect", "json"}

@@ -3,7 +3,7 @@ and faults on K_4 that the widened checks must catch."""
 
 import pytest
 
-from kiselman import core, level_metric, selftest
+from kiselman import core, enumeration, level_metric, selftest
 
 
 @pytest.mark.parametrize(
@@ -60,3 +60,36 @@ def _multiply_truncating_k4(x, y, multiply=core.multiply):
 def test_fault_only_on_k4_is_caught(name, fault, check, monkeypatch):
     monkeypatch.setattr(core, name, fault)
     assert check() is False
+
+
+def _moved_entry_table(universe):
+    """The truncation table with the last element's depth-2 entry moved
+    into e's class."""
+    rows = [list(row) for row in universe.truncations]
+    rows[2][-1] = rows[2][0]
+    broken = enumeration.ElementList(rank=universe.rank, elements=universe.elements)
+    broken.__dict__["truncations"] = tuple(map(tuple, rows))
+    return broken
+
+
+def _moved_member_classes(universe):
+    """The depth-2 classes, which ``classes`` caches, with the last element
+    moved into e's class (truncation id 0)."""
+    grouped = universe.classes(2)
+    last = len(universe) - 1
+    next(ks for ks in grouped.values() if last in ks).remove(last)
+    grouped[0].append(last)
+    return universe
+
+
+@pytest.mark.parametrize("fault", [_moved_entry_table, _moved_member_classes],
+                         ids=["table", "classes"])
+def test_truncation_entry_moved_to_another_class_on_k4_is_caught(fault, monkeypatch):
+    enumerate_elements = enumeration.enumerate_elements
+
+    def faulty(n, *args):
+        universe = enumerate_elements(n, *args)
+        return fault(universe) if n == 4 else universe
+
+    monkeypatch.setattr(enumeration, "enumerate_elements", faulty)
+    assert selftest.check_truncation_table() is False
