@@ -184,9 +184,12 @@ def power(x: Element, k: int) -> Element:
 
 
 def tau(x: Element) -> Element:
-    """The antiautomorphism induced by a_i -> a_{n-i+1}."""
-    n = x.rank
-    return reduce(n, tuple(n - i + 1 for i in reversed(x.letters)))
+    """The antiautomorphism induced by a_i -> a_{n-i+1}.
+
+    The mirrored canonical word is canonical, so it is not reduced: reversing
+    a word keeps the letters of each gap between two occurrences of a
+    letter, and the flip swaps the letters below and above."""
+    return Element(x.rank, tuple([x.rank + 1 - i for i in reversed(x.letters)]))
 
 
 def is_canonical(letters: tuple[int, ...]) -> bool:
@@ -208,3 +211,32 @@ def is_canonical(letters: tuple[int, ...]) -> bool:
                 gaps[u] |= 2
         gaps[v] = 0
     return True
+
+
+class RightCayley:
+    """The right Cayley graph of K_n from e, filled on demand: the elements
+    reached from e by right products with generators, numbered in the order
+    they are reached, e first.  ``elements[x]`` is element x, and
+    ``moves[x][i]`` is the id of x·a_i, or 0 (the id of e, which no x·a_i
+    is) until :meth:`add` multiplies the pair, which it does once.
+
+    A sparse walk adds only the pairs it visits.  Adding every pair of each
+    element in id order is a breadth-first search, so the ids are then in
+    breadth-first order."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.generators = [generator(n, i) for i in range(1, n + 1)]
+        self.elements = [unit(n)]
+        self.ids = {self.elements[0]: 0}
+        self.moves = [[0] * (n + 1)]
+
+    def add(self, x: int, i: int) -> int:
+        """Multiply element x by a_i, number the product if it is new, record
+        the move and return the product's id."""
+        after = multiply(self.elements[x], self.generators[i - 1])
+        y = self.moves[x][i] = self.ids.setdefault(after, len(self.elements))
+        if y == len(self.elements):
+            self.elements.append(after)
+            self.moves.append([0] * (self.n + 1))
+        return y

@@ -81,18 +81,22 @@ class ElementList(Frozen):
         a homomorphism that sends a_v to e when v <= i and fixes it
         otherwise, so row i at k is row i at p when v <= i, and otherwise
         the position of elements[row i at p] * a_v: one single-letter
-        ``extend``, made once per (image, v) of a depth.  On a 2-CPU VM the
-        table takes 4 ms at n = 5 and 0.23 s at n = 6.
+        ``extend``, made once per (image, v), since the product does not
+        depend on the depth.  On a 2-CPU VM the table takes 1.7-3.5 ms at
+        n = 5 and 0.15-0.26 s at n = 6.
 
         d(x, y) <= i iff x and y have the same depth-i entry.
         """
         words = [x.letters for x in self.elements]
+        # keyed by words, not by Element as ``index`` is: Element's __hash__
+        # and __eq__ run in Python, and Element keys took the n = 6 build
+        # from 0.14-0.20 s to 0.22-0.33 s on a 2-CPU VM
         position = {w: k for k, w in enumerate(words)}
         steps = [(position[w[:-1]], w[-1]) for w in words[1:]]
         rows = [tuple(range(len(words)))]
+        products: dict[tuple[int, int], int] = {}  # (image position, v) -> position
         for i in range(1, self.rank + 1):
             row = [0]
-            products: dict[tuple[int, int], int] = {}  # (image position, v) -> position
             for p, v in steps:
                 image = row[p]
                 if v > i:

@@ -11,7 +11,7 @@ So d(x, y) <= r iff x and y have the same depth-r truncation: the balls
 of radius r are the classes of the depth-r row of the truncation table of
 the enumeration of K_n (an ``ElementList``, which always holds all of K_n).
 The table is built in one shortlex pass per depth, with no call to
-``delete``: 4 ms at n = 5 and 0.23 s at n = 6 on a 2-CPU VM.  ``ball``
+``delete``: 1.7-3.5 ms at n = 5 and 0.15-0.26 s at n = 6 on a 2-CPU VM.  ``ball``
 returns the centre's class, and ``sphere`` keeps the members of the
 radius-r class outside the centre's depth-(r - 1) class, so neither scans
 K_n.  ``distance``, computed by definition, spot-checks each answer.  A failed spot check, or a

@@ -72,20 +72,15 @@ def check_associativity(samples=300):
 
 def bfs_elements(n):
     """K_n by breadth-first search of the right Cayley graph from the unit,
-    in shortlex order: the reference the automaton walk is checked against."""
-    gens = [core.generator(n, i) for i in range(1, n + 1)]
-    seen = {core.unit(n)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a in gens:
-                y = x * a
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda x: x.shortlex_key))
+    in shortlex order: the reference the automaton walk is checked against.
+    It expands ``core.RightCayley`` in id order, which is breadth-first
+    order, so it reaches K_n through ``multiply`` alone."""
+    table = core.RightCayley(n)
+    # the elements list is the search's queue: it grows as elements are reached
+    for x, _ in enumerate(table.elements):
+        for i in range(1, n + 1):
+            table.add(x, i)
+    return tuple(sorted(table.elements, key=lambda x: x.shortlex_key))
 
 
 def check_enumeration_matches_bfs():
@@ -136,6 +131,13 @@ def check_tau_antiautomorphism(samples=300):
             if core.tau(x * y) != core.tau(y) * core.tau(x):
                 return False
             if core.tau(core.tau(x)) != x:
+                return False
+    # tau mirrors the canonical word without reducing it, so the mirror
+    # must be canonical and must equal the reduced mirrored word
+    for n in (2, 3, 4, 5):
+        for x in enumeration.enumerate_elements(n):
+            mirrored = core.reduce(n, [n + 1 - i for i in reversed(x.letters)])
+            if not core.is_canonical(core.tau(x).letters) or core.tau(x) != mirrored:
                 return False
     return True
 

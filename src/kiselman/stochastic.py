@@ -33,9 +33,8 @@ from kiselman.core import (
     BudgetExceededError,
     CrosscheckError,
     Element,
+    RightCayley,
     idempotent,
-    multiply,
-    unit,
     validate_word,
 )
 from kiselman.level_metric import g, level_by_definition
@@ -98,24 +97,26 @@ class ProductTrace:
 def partial_products(spec: SequenceSpec, horizon: int = 10_000) -> ProductTrace:
     """Iterate s_j = s_{j-1} x_j and certify stabilization.
 
-    The sequence is certified stable once the product survives one full
-    cycle unchanged past the preamble (each step multiplies by one cycle
-    letter, so it is then constant forever).  A sequence not certified
-    within ``horizon`` letters raises ``BudgetExceededError``.
+    The products are walked through a right Cayley table, so each
+    (product, letter) pair is multiplied once.  The sequence is certified
+    stable once the product survives one full cycle unchanged past the
+    preamble (each step multiplies by one cycle letter, so it is then
+    constant forever).  A sequence not certified within ``horizon`` letters
+    raises ``BudgetExceededError``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    product = unit(spec.rank)
-    last_change = 0
+    table = RightCayley(spec.rank)
+    x = last_change = 0
     for j, i in enumerate(spec.letters(horizon), start=1):
-        nxt = multiply(product, idempotent(spec.rank, {i}))
-        if nxt != product:
+        y = table.moves[x][i] or table.add(x, i)
+        if y != x:
             last_change = j
-        product = nxt
+        x = y
         # stable once a full cycle passes unchanged after the preamble:
         # every subsequent factor then fixes the product
         if j - max(last_change, len(spec.preamble)) >= len(spec.cycle):
-            return ProductTrace(spec=spec, value=product, stable_index=last_change)
+            return ProductTrace(spec=spec, value=table.elements[x], stable_index=last_change)
     raise BudgetExceededError(f"partial products not certified stable within horizon {horizon}")
 
 
@@ -487,10 +488,11 @@ def simulate(
     ``BudgetExceededError`` naming the lowest such trial.
 
     ``mode="full"`` also walks the letters of tracked trials (all for
-    n <= 3, every 100th above) through a right-Cayley table built over the
-    elements they visit, for this call only (:class:`_RightCayley`).  The
-    table multiplies each visited pair (x, i) once and checks the level law
-    L(x·a_i) = g(L(x), i) on it, L the level by definition; with L(e) = n,
+    n <= 3, every 100th above) through a right Cayley table filled over the
+    elements they visit, for this call only (:class:`_RightCayley`, the
+    table of ``core.RightCayley`` with levels).  The table multiplies each
+    visited pair (x, i) once, and checks the level law
+    L(x·a_i) = g(L(x), i) on it once, L the level by definition; with L(e) = n,
     by induction the product's level then equals the chain's level at every
     step of every walk.  Each walk must first reach an element of level 0
     exactly at the scan's hitting time.  Reports are deterministic
@@ -505,7 +507,7 @@ def simulate(
     stays = np.zeros(n + 1, np.int64)
     crosscheck_trials = 0
     crosscheck_failures = 0
-    right_cayley = _RightCayley(n) if mode == "full" else None
+    right_cayley = _RightCayley(n)  # only full mode walks it
 
     for lo in range(0, trials, SEED_CHUNK):
         # SEED_CHUNK divides 2^32, so no chunk crosses a multiple of 2^32
@@ -522,8 +524,7 @@ def simulate(
         for lane, letters in rows.items():
             crosscheck_trials += 1
             crosscheck_failures += _walk(right_cayley, letters, int(chunk_times[lane]))
-    if right_cayley is not None:
-        crosscheck_failures += right_cayley.failures
+    crosscheck_failures += right_cayley.failures
 
     times = np.concatenate(times)
     values, counts = np.unique(times, return_counts=True)
@@ -610,33 +611,23 @@ def _scan(streams, n, bounds, size, tracked, stays, rng, seed, lo):
     return times, rows
 
 
-class _RightCayley:
-    """The right-Cayley table of one ``simulate`` call over the elements its
-    walks visit, numbered in visiting order, e first: ``moves[x][i]`` is the
-    id of x·a_i, or 0 (the id of e, which no x·a_i is) before the pair is
-    visited.  :meth:`add` multiplies a pair once, takes the level by
-    definition of each new element once, and counts in ``failures`` the
-    pairs where L(x·a_i) != g(L(x), i), taking L(e) = n."""
+class _RightCayley(RightCayley):
+    """The right Cayley table of one ``simulate`` call over the elements its
+    walks visit, with the level bookkeeping of full mode: ``levels[x]`` is
+    the level by definition of element x, taken once per new element, and
+    ``failures`` counts the pairs where L(x·a_i) != g(L(x), i), checked
+    once per pair as :meth:`add` adds it, taking L(e) = n."""
 
     def __init__(self, n: int):
-        self.n = n
-        self.generators = [idempotent(n, {i}) for i in range(1, n + 1)]
-        self.elements = [unit(n)]
-        self.ids = {self.elements[0]: 0}
+        super().__init__(n)
         self.levels = [n]
-        self.moves = [[0] * (n + 1)]
         self.failures = 0
 
     def add(self, x: int, i: int) -> int:
-        after = multiply(self.elements[x], self.generators[i - 1])
-        y = self.ids.setdefault(after, len(self.elements))
-        if y == len(self.elements):
-            self.elements.append(after)
-            self.levels.append(level_by_definition(after))
-            self.moves.append([0] * (self.n + 1))
-        if self.levels[y] != g(self.levels[x], i):
-            self.failures += 1
-        self.moves[x][i] = y
+        y = super().add(x, i)
+        if y == len(self.levels):  # a new element: ids are numbered in order
+            self.levels.append(level_by_definition(self.elements[y]))
+        self.failures += self.levels[y] != g(self.levels[x], i)
         return y
 
 

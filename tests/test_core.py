@@ -89,6 +89,27 @@ def test_power_stops_once_it_is_idempotent(monkeypatch):
     assert len(calls) <= len(core.content(x)) + 1
 
 
+def test_right_cayley_multiplies_each_pair_once(monkeypatch):
+    calls = []
+    multiply = core.multiply
+    monkeypatch.setattr(core, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    table = core.RightCayley(3)
+    assert table.elements == [core.unit(3)] and table.moves == [[0] * 4]
+    x = 0
+    while x < len(table.elements):
+        for i in (1, 2, 3):
+            assert table.moves[x][i] == 0  # unfilled until the pair is added
+            y = table.add(x, i)
+            assert table.moves[x][i] == y != 0  # no x·a_i is e
+        x += 1
+    assert len(calls) == 18 * 3
+    assert len(table.elements) == 18 and len(set(table.elements)) == 18
+    assert all(table.elements[table.moves[x][i]] == multiply(y, core.generator(3, i))
+               for x, y in enumerate(table.elements) for i in (1, 2, 3))
+    assert table.ids == {x: k for k, x in enumerate(table.elements)}
+    assert [len(x.letters) for x in table.elements] == sorted(len(x.letters) for x in table.elements)
+
+
 def test_tau_examples():
     assert core.tau(core.unit(2)) == core.unit(2)
     assert core.tau(core.generator(2, 1)) == core.generator(2, 2)

@@ -125,6 +125,8 @@ def test_cardinality_table_counts_to_rank_10():
 def test_cardinality_table_below_rank_2_is_rejected():
     with pytest.raises(ValueError):
         enumeration.cardinality_table(max_rank=1)
+    with pytest.raises(ValueError, match="rank"):
+        enumeration.enumerate_elements(1)
 
 
 def test_truncation_table_calls_no_delete(monkeypatch):

@@ -14,6 +14,7 @@ def test_level_of_unit_and_zero():
 def test_level_of_partial_idempotent():
     # e_{[3] minus [1]} = a_3 a_2 has level 1
     assert lm.level_by_definition(core.reduce(3, (3, 2))) == 1
+    assert lm.level(core.reduce(3, (3, 2))) == 1
 
 
 def test_g_examples():

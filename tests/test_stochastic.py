@@ -498,14 +498,14 @@ def test_misreported_level_is_caught(letters, monkeypatch):
 
 
 def test_wrong_product_is_caught(monkeypatch):
-    multiply = st.multiply
+    multiply = core.multiply
     a3, a2 = core.generator(3, 3), core.generator(3, 2)
 
     def dropping(x, y):
         # a_3 a_2 (level 1) comes out as a_3 (level 2)
         return x if (x, y) == (a3, a2) else multiply(x, y)
 
-    monkeypatch.setattr(st, "multiply", dropping)
+    monkeypatch.setattr(core, "multiply", dropping)
     with pytest.raises(st.CrosscheckError):
         st.simulate(3, (0.2, 0.3, 0.5), trials=300, seed=7, mode="full")
 
