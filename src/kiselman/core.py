@@ -24,9 +24,11 @@ _set_field = object.__setattr__
 
 
 class BudgetExceededError(RuntimeError):
-    """A computation would exceed its budget: the enumeration cap, the
-    oracle's word universe, the exact pmf's support, a simulated trial's
-    step count or a partial product's horizon.
+    """A computation would exceed its budget: the enumeration cap (a rank
+    with 2^n past it is refused at once), the rank of a search by definition
+    (``level_metric.SEARCH_MAX_RANK``), the oracle's word universe, the exact
+    pmf's support, a simulated trial's step count or a partial product's
+    horizon.
 
     It is every budget's one refusal, and it lives here, beside the
     algebra, so that the CLI maps it to exit 3 having loaded only ``core``.

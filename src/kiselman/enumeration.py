@@ -141,7 +141,8 @@ def _automaton(n: int, cap: int) -> tuple[int, int, dict[int, list[tuple[int, in
     set, so it is stored as such and the start state has every bit set.
 
     Raises ``ValueError`` if ``cap`` is negative, and ``BudgetExceededError``
-    iff K_n has more than ``cap`` elements.  Each state is reached by a
+    iff K_n has more than ``cap`` elements: at once when 2^n > ``cap``, before
+    any state is built, as |K_n| >= 2^n.  Each state is reached by a
     canonical word of its own, and the words a state accepts continue that
     word to distinct canonical words, so there are at most |K_n| states and
     no state accepts more than |K_n| words: more than ``cap`` states, or a
@@ -151,6 +152,10 @@ def _automaton(n: int, cap: int) -> tuple[int, int, dict[int, list[tuple[int, in
     """
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
+    # the 2^n idempotents are distinct, so |K_n| >= 2^n > cap; bit lengths,
+    # since 1 << n would itself allocate for a huge n
+    if n >= cap.bit_length():
+        raise BudgetExceededError(f"K_{n} has more than {cap} elements")
     start = (1 << 2 * n) - 1
     shift = {v: 2 * (v - 1) for v in range(1, n + 1)}
     # the bits letter v sets in every other letter, and the mask clearing v's own

@@ -17,11 +17,17 @@ radius-r class outside the centre's depth-(r - 1) class, so neither scans
 K_n.  ``distance``, computed by definition, spot-checks each answer.  A failed spot check, or a
 search by definition that runs out although a theorem says it cannot,
 raises ``CrosscheckError``.
+
+The searches by definition (``level_by_definition``, ``m_function``,
+``level_sets`` and ``distance``) take time that grows as n^2 to n^3, so each
+refuses a rank past SEARCH_MAX_RANK with ``BudgetExceededError`` before it
+builds anything of size n.
 """
 
 from __future__ import annotations
 
 from kiselman.core import (
+    BudgetExceededError,
     CrosscheckError,
     Element,
     RankMismatchError,
@@ -32,6 +38,16 @@ from kiselman.core import (
 )
 from kiselman.morphisms import delete
 
+# largest rank a search by definition runs at: m_function(a_1) takes 0.5-0.8 s
+# there on a 2-CPU VM, and 4.1 s at rank 1,024
+SEARCH_MAX_RANK = 512
+
+
+def _require_searchable(n: int) -> None:
+    if n > SEARCH_MAX_RANK:
+        raise BudgetExceededError(
+            f"a search by definition at rank {n} exceeds budget {SEARCH_MAX_RANK}")
+
 
 def _interval(i: int) -> range:
     """[i] = {1, ..., i}; [0] is empty."""
@@ -41,6 +57,7 @@ def _interval(i: int) -> range:
 def level_by_definition(x: Element) -> int:
     """min { i in 0..n : deleting 1..i from x yields e_{{i+1,...,n}} }."""
     n = x.rank
+    _require_searchable(n)
     for i in range(n + 1):
         rest = idempotent(n, range(i + 1, n + 1))
         if delete(_interval(i), x) == rest:
@@ -70,6 +87,7 @@ def level(x: Element) -> int:
 def m_function(x: Element) -> int:
     """min { i in 0..n : x * e_{[i]} = f }; coincides with the level."""
     n = x.rank
+    _require_searchable(n)
     f = zero(n)
     for i in range(n + 1):
         if multiply(x, idempotent(n, _interval(i))) == f:
@@ -84,6 +102,7 @@ def level_sets(x: Element) -> tuple[frozenset[int], frozenset[int]]:
     Second set: { i : x * e_{[i]} = f }.
     """
     n = x.rank
+    _require_searchable(n)
     f = zero(n)
     a_set = frozenset(
         i
@@ -102,6 +121,7 @@ def distance(x: Element, y: Element) -> int:
     """Ultrametric: least truncation depth at which x and y agree."""
     if x.rank != y.rank:
         raise RankMismatchError(f"rank {x.rank} vs {y.rank}")
+    _require_searchable(x.rank)
     if x == y:
         return 0
     for i in range(1, x.rank + 1):

@@ -121,17 +121,15 @@ def tail_mean(p, k_max: int) -> float:
     """sum_{k > K} k P(T = k) = pi Q^K [(K+1)(I-Q)^{-1} + Q (I-Q)^{-2}] r for
     K = ``k_max`` and a p that :func:`hitting_pmf` accepts.
 
-    Q is the chain on the transient levels 1..n, r its absorption column
-    (p_1 at level 1) and pi the start at level n.  Q is lower bidiagonal,
-    so pi Q^K comes from repeated squaring and (I - Q)^{-1} from forward
-    substitution: row i of I - Q is p_i (x_i - x_{i-1}).
+    Q, r and pi are read off :func:`transition_rows` and
+    :func:`initial_distribution`: Q is the chain on the transient levels
+    1..n, r its absorption column (p_1 at level 1) and pi the start at
+    level n.  Q is lower bidiagonal, so pi Q^K comes from repeated squaring
+    and (I - Q)^{-1} from forward substitution: row i of I - Q is
+    p_i (x_i - x_{i-1}).
     """
-    n = len(p)
-    q = [[0.0] * n for _ in range(n)]  # level i + 1 at index i
-    for i, pi in enumerate(p):
-        q[i][i] = 1.0 - pi
-        if i:
-            q[i][i - 1] = pi
+    rows = transition_rows(p)[1:]
+    q = [row[1:] for row in rows]  # level i + 1 at index i
 
     def solve(b):  # (I - Q)^{-1} b
         x, prev = [], 0.0
@@ -140,10 +138,10 @@ def tail_mean(p, k_max: int) -> float:
             x.append(prev)
         return x
 
-    w = solve([p[0]] + [0.0] * (n - 1))  # (I - Q)^{-1} r
+    w = solve([row[0] for row in rows])  # (I - Q)^{-1} r
     u = solve(w)  # (I - Q)^{-2} r
     x = [(k_max + 1) * wi + _dot(row, u) for wi, row in zip(w, q)]
-    dist = [0.0] * (n - 1) + [1.0]  # pi, then pi Q^K by repeated squaring
+    dist = initial_distribution(len(p))[1:]  # pi, then pi Q^K by repeated squaring
     power, k = q, k_max
     while k:
         if k & 1:

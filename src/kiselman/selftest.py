@@ -60,10 +60,10 @@ def _sample_element(rng, n):
     return core.reduce(n, [rng.randint(1, n) for _ in range(rng.randint(0, SAMPLE_LEN))])
 
 
-def check_associativity(samples=300):
+def check_associativity():
     rng = random.Random(7)
     for n in WIDE_RANKS:
-        for _ in range(samples):
+        for _ in range(300):
             x, y, z = (_sample_element(rng, n) for _ in range(3))
             if (x * y) * z != x * (y * z):
                 return False
@@ -101,10 +101,10 @@ def check_idempotent_classification():
     return True
 
 
-def check_power_collapse(samples=200):
+def check_power_collapse():
     rng = random.Random(11)
     for n in RANKS:
-        for _ in range(samples):
+        for _ in range(200):
             x = core.reduce(n, [rng.randint(1, n) for _ in range(rng.randint(0, 6))])
             cset = core.content(x)
             for k in range(max(1, len(cset)), len(cset) + 3):
@@ -123,10 +123,10 @@ def check_content_homomorphism():
     return True
 
 
-def check_tau_antiautomorphism(samples=300):
+def check_tau_antiautomorphism():
     rng = random.Random(13)
     for n in WIDE_RANKS:
-        for _ in range(samples):
+        for _ in range(300):
             x, y = (_sample_element(rng, n) for _ in range(2))
             if core.tau(x * y) != core.tau(y) * core.tau(x):
                 return False

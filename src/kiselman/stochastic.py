@@ -25,6 +25,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, fields
+from itertools import chain, cycle, islice
 
 import numpy as np
 
@@ -78,11 +79,7 @@ class SequenceSpec:
             raise ValueError("a sequence needs a nonempty cycle")
 
     def letters(self, horizon: int):
-        for j in range(horizon):
-            if j < len(self.preamble):
-                yield self.preamble[j]
-            else:
-                yield self.cycle[(j - len(self.preamble)) % len(self.cycle)]
+        return islice(chain(self.preamble, cycle(self.cycle)), horizon)
 
 
 @dataclass(frozen=True)
@@ -162,12 +159,12 @@ def chain_hitting_cdf(p, k_max: int) -> np.ndarray:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if k_max > PMF_MAX_K:
         raise BudgetExceededError(f"chain truncation {k_max} exceeds budget {PMF_MAX_K}")
-    chain = transition_matrix(p)
-    dist = chain.initial.copy()
+    markov = transition_matrix(p)
+    dist = markov.initial.copy()
     cdf = np.empty(k_max + 1)
     cdf[0] = dist[0]
     for k in range(1, k_max + 1):
-        dist = dist @ chain.matrix
+        dist = dist @ markov.matrix
         cdf[k] = dist[0]
     return cdf
 
@@ -204,7 +201,11 @@ def exact_hitting_pmf(p, k_max: int | None = None) -> HittingTimePMF:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Seeded Monte Carlo summary; serialization is byte-stable."""
+    """Seeded Monte Carlo summary; serialization is byte-stable.
+
+    The JSON object is the fields, under their names, with the keys of the
+    two int-keyed maps written as strings in numeric order.
+    """
 
     rank: int
     p: tuple[float, ...]
@@ -220,22 +221,10 @@ class SimulationReport:
     transition_counts: dict = field(default_factory=dict)  # state -> [stay, down]
 
     def to_json(self) -> str:
-        payload = {
-            "rank": self.rank,
-            "p": list(self.p),
-            "trials": self.trials,
-            "seed": self.seed,
-            "mode": self.mode,
-            "rng": self.rng,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "mean": self.mean,
-            "variance": self.variance,
-            "crosscheck_trials": self.crosscheck_trials,
-            "crosscheck_failures": self.crosscheck_failures,
-            "transition_counts": {
-                str(k): v for k, v in sorted(self.transition_counts.items())
-            },
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["p"] = list(self.p)
+        for key in ("histogram", "transition_counts"):  # JSON keys are strings
+            payload[key] = {str(k): v for k, v in sorted(payload[key].items())}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
@@ -251,7 +240,8 @@ class SimulationReport:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError(f"a report is a JSON object, got {type(payload).__name__}")
-        for key in (f.name for f in fields(cls)):
+        names = [f.name for f in fields(cls)]
+        for key in names:
             if key not in payload:
                 raise ValueError(f"report lacks the key {key!r}")
         for key in ("rank", "trials"):
@@ -266,22 +256,11 @@ class SimulationReport:
         histogram = {int(k): v for k, v in payload["histogram"].items()}
         if not all(k >= 0 and _is_int(v) and v >= 0 for k, v in histogram.items()):
             raise ValueError("report histogram must map hitting times to counts >= 0")
-        report = cls(
-            rank=payload["rank"],
-            p=tuple(p),
-            trials=payload["trials"],
-            seed=payload["seed"],
-            mode=payload["mode"],
-            rng=payload["rng"],
-            histogram=histogram,
-            mean=payload["mean"],
-            variance=payload["variance"],
-            crosscheck_trials=payload["crosscheck_trials"],
-            crosscheck_failures=payload["crosscheck_failures"],
-            transition_counts={
-                int(k): v for k, v in payload["transition_counts"].items()
-            },
-        )
+        report = cls(**{key: payload[key] for key in names} | {
+            "p": tuple(p),
+            "histogram": histogram,
+            "transition_counts": {int(k): v for k, v in payload["transition_counts"].items()},
+        })
         if report.trials < 1:
             raise ValueError(f"a report needs at least one trial, got {report.trials}")
         counted = sum(report.histogram.values())

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -600,3 +602,32 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+# every subcommand whose work grows with --n, given a rank no budget admits
+LARGE_RANK_COMMANDS = [
+    ["level", "--word", "1"],
+    ["m", "--word", "1"],
+    ["dist", "--x", "1", "--y", "2"],
+    ["enumerate"],
+    ["enumerate", "--table"],
+    ["ball", "--r", "1"],
+    ["sphere", "--r", "1"],
+    ["rset"],
+]
+CHILD_ADDRESS_SPACE = 1 << 30  # bytes; a runaway child fails its allocations, not the host
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("command", LARGE_RANK_COMMANDS, ids=" ".join)
+def test_large_rank_ends_within_the_exit_code_contract(command):
+    argv = [sys.executable, "-m", "kiselman.cli", command[0], "--n", "1000000000000",
+            *command[1:]]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(argv, capture_output=True, timeout=5, env=env,
+                          preexec_fn=_limit_address_space)
+    assert done.returncode in (0, 2, 3), done.stderr
+    assert b"Traceback" not in done.stderr

@@ -18,19 +18,22 @@ def test_known_sizes(universe2, universe3, universe4):
 
 
 def test_cap_flags_incomplete():
-    with pytest.raises(enumeration.BudgetExceededError):
-        enumeration.enumerate_elements(3, cap=4)
+    # 2^3 > 4 is refused before the automaton; K_3's 13 states pass 12
+    for cap in (4, 12):
+        with pytest.raises(enumeration.BudgetExceededError):
+            enumeration.enumerate_elements(3, cap=cap)
     with pytest.raises(enumeration.BudgetExceededError):
         enumeration.cardinality_table(max_rank=3, cap=KNOWN_SIZES[3] - 1)
     assert len(enumeration.enumerate_elements(3, cap=KNOWN_SIZES[3])) == KNOWN_SIZES[3]
 
 
 def test_large_rank_is_refused_early():
-    # the automaton of K_40 has over 10**13 states; a state's word count
-    # passes the cap after a few hundred of them
+    # 2^n > cap refuses before any automaton state is built, also at a rank
+    # whose state bits 1 << 2n would not fit in memory
     start = time.perf_counter()
-    with pytest.raises(enumeration.BudgetExceededError):
-        enumeration.enumerate_elements(40)
+    for n in (40, 10**12):
+        with pytest.raises(enumeration.BudgetExceededError):
+            enumeration.enumerate_elements(n)
     assert time.perf_counter() - start < 2.0
 
 
@@ -171,6 +174,8 @@ def test_element_list_and_partition_behave_as_frozen_records():
         rank=2, max_len=1, class_ids=dict(partition.class_ids),
         least_words=partition.least_words)
     assert partition != enumeration.congruence_oracle(2, 2)
+    assert partition != (partition.rank, partition.max_len, partition.class_ids,
+                         partition.least_words)
     with pytest.raises(TypeError):
         hash(partition)
     with pytest.raises(AttributeError):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kiselman import core, enumerate_elements, level_metric as lm
+from kiselman.core import BudgetExceededError
 from conftest import KNOWN_SIZES
 
 
@@ -117,3 +118,13 @@ def test_corrupt_truncation_table_is_caught(universe2):
     broken.__dict__["truncations"] = tuple(rows)
     with pytest.raises(core.CrosscheckError, match="truncation table disagrees"):
         lm.ball(broken, core.unit(2), 1)
+
+
+def test_searches_by_definition_refuse_ranks_past_the_budget():
+    top = lm.SEARCH_MAX_RANK
+    assert lm.level_by_definition(core.generator(top, 1)) == top
+    x, y = core.generator(top + 1, 1), core.generator(top + 1, 2)
+    for search in (lm.level_by_definition, lm.m_function, lm.level_sets,
+                   lambda x: lm.distance(x, y)):
+        with pytest.raises(BudgetExceededError, match=f"rank {top + 1} exceeds budget {top}"):
+            search(x)

@@ -1,9 +1,10 @@
 """Each algebraic law of ``kiselman.selftest.CHECKS`` as its own test case,
-and faults on K_4 that the widened checks must catch."""
+faults on K_4 that the widened checks must catch, and faults in the level
+chain's law that its two checks must catch."""
 
 import pytest
 
-from kiselman import core, enumeration, level_metric, selftest
+from kiselman import core, enumeration, level_metric, levelchain, selftest
 
 
 @pytest.mark.parametrize(
@@ -93,3 +94,23 @@ def test_truncation_entry_moved_to_another_class_on_k4_is_caught(fault, monkeypa
 
     monkeypatch.setattr(enumeration, "enumerate_elements", faulty)
     assert selftest.check_truncation_table() is False
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.001], ids=["zero", "0.1%-off"])
+def test_wrong_tail_mean_is_caught(scale, monkeypatch):
+    # the smallest tail term the check meets is 2.1e-8, above its 1e-9 tolerance
+    tail_mean = levelchain.tail_mean
+    monkeypatch.setattr(levelchain, "tail_mean", lambda p, k_max: scale * tail_mean(p, k_max))
+    assert selftest.check_pmf_mean() is False
+
+
+def test_level_1_row_with_stay_and_move_swapped_is_caught(monkeypatch):
+    transition_rows = levelchain.transition_rows
+
+    def swapped(p):
+        rows = transition_rows(p)
+        rows[1][0], rows[1][1] = rows[1][1], rows[1][0]
+        return rows
+
+    monkeypatch.setattr(levelchain, "transition_rows", swapped)
+    assert selftest.check_chain_vs_convolution() is False
