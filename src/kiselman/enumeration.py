@@ -33,15 +33,18 @@ from functools import cached_property
 from itertools import combinations, product as iter_product
 
 from kiselman._reduce_py import extend
-from kiselman.core import BudgetExceededError, CrosscheckError, Element, Frozen, _set_field
+from kiselman.core import (BudgetExceededError, CrosscheckError, Element, Frozen, _set_field,
+                           validate_word)
 
 ORACLE_SLACK = 2  # extra word length over max_len within which relations apply
 # largest word universe n ** (max_len + ORACLE_SLACK + 1) the oracle closes; at
 # the edge, congruence_oracle(2, 17) takes 1.4 s and a 97 MB peak on a 2-CPU VM
 ORACLE_BUDGET = 1 << 20
-# most states the canonical-word automaton may build: K_15's 245,761 states
-# take about 0.9 KB each (a 240 MB peak) and 4 s on a 2-CPU VM, and K_16 has
-# 524,289
+# most elements K_n's list may hold: K_6 has 83,973 and K_7 22,263,378
+ELEMENT_BUDGET = 1_000_000
+# most states the canonical-word automaton may build: K_n's has n·2^(n-1) + 1,
+# so K_15's 245,761 states, about 0.9 KB each (a 240 MB peak) and 4 s on a
+# 2-CPU VM, are admitted and K_16's 524,289 refused
 STATE_BUDGET = 1 << 18
 
 
@@ -131,27 +134,7 @@ class ElementList(Frozen):
         return {}
 
 
-def _require_states(n: int, cap: int, states: int) -> None:
-    """Refuse K_n when ``states``, a lower bound on both |K_n| and the number
-    of its automaton's states, exceeds ``cap`` or STATE_BUDGET."""
-    if states > cap:
-        raise BudgetExceededError(f"K_{n} has more than {cap} elements")
-    if states > STATE_BUDGET:
-        raise BudgetExceededError(f"the automaton of K_{n} has more than {STATE_BUDGET} states")
-
-
-def _require_idempotents(n: int, cap: int) -> None:
-    """Refuse K_n at once when 2^n exceeds ``cap`` or STATE_BUDGET: the 2^n
-    idempotents are distinct elements, and their decreasing words reach
-    distinct states, since a letter that occurred has its high bit clear.
-    Compared by bit lengths, since 1 << n would itself allocate for a huge n.
-    A negative ``cap`` raises ``ValueError``."""
-    if cap < 0:
-        raise ValueError(f"cap must be non-negative, got {cap}")
-    _require_states(n, cap, 1 << min(n, cap.bit_length(), STATE_BUDGET.bit_length()))
-
-
-def _automaton(n: int, cap: int) -> tuple[int, int, dict[int, list[tuple[int, int]]]]:
+def _automaton(n: int) -> tuple[int, int, dict[int, list[tuple[int, int]]]]:
     """The canonical-word automaton of K_n: |K_n|, which is the number of
     words it accepts, its start state and, for each state reachable from
     the start, the moves ``(letter, next state)`` in ascending letter order.
@@ -163,18 +146,17 @@ def _automaton(n: int, cap: int) -> tuple[int, int, dict[int, list[tuple[int, in
     bits are set.  An absent letter behaves exactly like one with both bits
     set, so it is stored as such and the start state has every bit set.
 
-    Raises ``ValueError`` if ``cap`` is negative, and ``BudgetExceededError``
-    iff K_n has more than ``cap`` elements or the automaton more than
-    STATE_BUDGET states: at once when 2^n exceeds either, before any state
-    is built.  Each state is reached by a canonical word of its own, and the
-    words a state accepts continue that word to distinct canonical words, so
-    there are at most |K_n| states and no state accepts more than |K_n|
-    words: more than ``cap`` states, or a state accepting more than ``cap``
-    words, already decides it.
+    Raises ``BudgetExceededError`` iff the automaton has more than
+    STATE_BUDGET states: at once when 2^n exceeds it, before any state is
+    built, since the 2^n idempotents e_X are distinct and their decreasing
+    words reach distinct states (a letter that occurred has its high bit
+    clear), and otherwise as soon as the states built pass it.
     The words are finite in number, so the automaton is acyclic: its path
     counts are summed children first, on an explicit stack.
     """
-    _require_idempotents(n, cap)
+    past_budget = f"the automaton of K_{n} has more than {STATE_BUDGET} states"
+    if n >= STATE_BUDGET.bit_length():  # 2^n > STATE_BUDGET, without forming 2^n
+        raise BudgetExceededError(past_budget)
     start = (1 << 2 * n) - 1
     shift = {v: 2 * (v - 1) for v in range(1, n + 1)}
     # the bits letter v sets in every other letter, and the mask clearing v's own
@@ -189,27 +171,31 @@ def _automaton(n: int, cap: int) -> tuple[int, int, dict[int, list[tuple[int, in
             out = moves[s] = [
                 (v, (s | seen[v]) & clear[v]) for v in shift if s >> shift[v] & 3 == 3
             ]
-            _require_states(n, cap, len(moves))
+            if len(moves) > STATE_BUDGET:
+                raise BudgetExceededError(past_budget)
             stack += [t for _, t in out if t not in moves]
             continue
         stack.pop()
         if s not in counts:  # a state may be stacked more than once
             counts[s] = 1 + sum(counts[t] for _, t in moves[s])
-            if counts[s] > cap:
-                raise BudgetExceededError(f"K_{n} has more than {cap} elements")
     return counts[start], start, moves
 
 
-def enumerate_elements(n: int, cap: int = 1_000_000) -> ElementList:
+def enumerate_elements(n: int) -> ElementList:
     """All of K_n in shortlex order: the canonical words, walked length by
     length with letters in ascending order.
 
     Raises ``BudgetExceededError``, before building any element, if K_n has
-    more than ``cap`` elements.
+    more than ELEMENT_BUDGET elements.  K_m is the submonoid of K_n on
+    a_1, ..., a_m, so |K_m| <= |K_n| for m <= n: the ranks are counted from
+    m = 2 up, and the first |K_m| past the budget refuses K_n, whatever n.
     """
-    if n < 2:
-        raise ValueError(f"rank must be at least 2, got {n}")
-    _, start, moves = _automaton(n, cap)
+    validate_word(n, ())
+    for m in range(2, n + 1):
+        count, start, moves = _automaton(m)
+        if count > ELEMENT_BUDGET:
+            raise BudgetExceededError(
+                f"K_{n} has more than {ELEMENT_BUDGET} elements: K_{m} has {count}")
     words = [()]
     layer = [((), start)]
     while layer:
@@ -342,8 +328,7 @@ def congruence_oracle(n: int, max_len: int) -> CongruencePartition:
     max_len + ORACLE_SLACK; stability against bound max_len + ORACLE_SLACK
     + 1 is required, so both closures are computed.
     """
-    if n < 2:
-        raise ValueError(f"rank must be at least 2, got {n}")
+    validate_word(n, ())
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     bound = max_len + ORACLE_SLACK
@@ -369,16 +354,15 @@ def congruence_oracle(n: int, max_len: int) -> CongruencePartition:
     )
 
 
-def cardinality_table(max_rank: int = 4, cap: int = 1_000_000) -> list[tuple[int, int]]:
+def cardinality_table(max_rank: int = 4) -> list[tuple[int, int]]:
     """[(n, |K_n|)] for n = 2..max_rank, counted without building any
-    element; raises ``BudgetExceededError`` if some K_n has more than
-    ``cap`` elements or its automaton more than STATE_BUDGET states, at once
-    if K_max_rank does by its idempotents.  Consecutive ratios must be
-    strictly increasing."""
-    if max_rank < 2:
-        raise ValueError(f"rank must be at least 2, got {max_rank}")
-    _require_idempotents(max_rank, cap)
-    table = [(n, _automaton(n, cap)[0]) for n in range(2, max_rank + 1)]
+    element; raises ``BudgetExceededError`` if some automaton has more than
+    STATE_BUDGET states.  The ranks are counted from the largest down, so a
+    refusal comes before any smaller rank is counted, and at once if
+    2^max_rank passes the budget.  Consecutive ratios must be strictly
+    increasing."""
+    validate_word(max_rank, ())
+    table = [(n, _automaton(n)[0]) for n in range(max_rank, 1, -1)][::-1]
     ratios = [b / a for (_, a), (_, b) in zip(table, table[1:])]
     if any(r2 <= r1 for r1, r2 in zip(ratios, ratios[1:])):
         raise CrosscheckError(f"growth ratios not increasing: {ratios}")

@@ -21,6 +21,13 @@ from kiselman.core import BudgetExceededError
 PROBABILITY_SUM_TOL = 1e-12  # largest accepted |sum(p) - 1|
 PMF_TAIL = 1e-9  # the default pmf truncation leaves at most this much tail mass
 PMF_MAX_K = 1_000_000  # largest pmf truncation at n = 2; (1 - q, q) with q = 3e-5 needs 690,739
+# most entries (n + 1)^2 of the dense transition rows: `chain --n 1999` prints
+# its 4,000,000 in about 1 s on a 2-CPU VM
+ENTRY_BUDGET = 4_000_000
+# most n^3 · (squarings) of tail_mean's repeated squaring of the n × n matrix
+# Q: a unit takes about 46 ns on a 2-CPU VM, and the slowest admitted calls,
+# n = 310 with one squaring or n = 246 with two, take about 1.5 s
+SQUARING_BUDGET = 30_000_000
 
 
 def validate_probabilities(p) -> tuple[float, ...]:
@@ -52,9 +59,13 @@ def require_positive(p) -> None:
 
 
 def transition_rows(p) -> list[list[float]]:
-    """Rows 0..n of the chain's transition matrix, lower bidiagonal."""
+    """Rows 0..n of the chain's transition matrix, lower bidiagonal.
+    Raises ``BudgetExceededError``, before any row is built, past
+    ENTRY_BUDGET entries."""
     p = validate_probabilities(p)
     n = len(p)
+    if (n + 1) ** 2 > ENTRY_BUDGET:
+        raise BudgetExceededError(f"transition rows at n = {n}: over {ENTRY_BUDGET} entries")
     rows = [[0.0] * (n + 1) for _ in range(n + 1)]
     rows[0][0] = 1.0
     for i in range(1, n + 1):
@@ -134,8 +145,12 @@ def tail_mean(p, k_max: int) -> float:
     1..n, r its absorption column (p_1 at level 1) and pi the start at
     level n.  Q is lower bidiagonal, so pi Q^K comes from repeated squaring
     and (I - Q)^{-1} from forward substitution: row i of I - Q is
-    p_i (x_i - x_{i-1}).
+    p_i (x_i - x_{i-1}).  Raises ``BudgetExceededError``, before any row
+    is built, when n^3 per squaring passes SQUARING_BUDGET.
     """
+    work = len(p) ** 3 * (k_max.bit_length() - 1)  # n^3 per squaring
+    if work > SQUARING_BUDGET:
+        raise BudgetExceededError(f"tail mean at n = {len(p)}: {work} units past {SQUARING_BUDGET}")
     rows = transition_rows(p)[1:]
     q = [row[1:] for row in rows]  # level i + 1 at index i
 

@@ -677,10 +677,10 @@ def verify_distribution(
     """Compare an empirical hitting-time histogram against the exact pmf.
 
     Total-variation distance over the truncated support (tail pooled) plus
-    a chi-square test over bins with expected count >= 5; a sample with no
-    such bin is one bin, dof 0, and fails.  ``None`` bounds are the rule:
-    ``tv_tolerance(pmf, report.trials)`` and PVALUE_FLOOR.  Raises
-    ``ValueError`` unless 0 < tv_bound <= 1 and 0 <= pvalue_floor < 1.
+    a chi-square test over bins with expected count >= 5.  ``None`` bounds
+    are the rule: ``tv_tolerance(pmf, report.trials)`` and PVALUE_FLOOR.
+    Raises ``ValueError`` unless 0 < tv_bound <= 1 and 0 <= pvalue_floor < 1,
+    and for a sample too small to test: one with fewer than two such bins.
     """
     if tv_bound is None:
         tv_bound = tv_tolerance(pmf, report.trials)
@@ -715,8 +715,8 @@ def verify_distribution(
             obs_bins.append(acc_obs)
             exp_bins.append(acc_exp)
             acc_obs = acc_exp = 0.0
-    if not obs_bins:  # no bin reaches 5: the whole sample is one bin
-        obs_bins, exp_bins = [0.0], [0.0]
+    if len(obs_bins) < 2:
+        raise ValueError(f"{trials} trials are too few to test: fewer than two bins expect 5")
     obs_bins[-1] += acc_obs
     exp_bins[-1] += acc_exp
     obs_arr = np.array(obs_bins)

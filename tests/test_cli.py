@@ -73,9 +73,9 @@ def test_enumerate_table(capsys):
 
 
 def test_enumerate_table_counts_past_rank_6(capsys):
-    code, out = capture(capsys, ["enumerate", "--n", "9", "--table", "--cap", str(10**16)])
+    code, out = capture(capsys, ["enumerate", "--n", "10", "--table"])
     assert code == 0
-    assert out.splitlines() == [f"{n}\t{KNOWN_SIZES[n]}" for n in range(2, 10)]
+    assert out.splitlines() == [f"{n}\t{KNOWN_SIZES[n]}" for n in range(2, 11)]
 
 
 def test_enumerate_table_below_rank_2_is_a_usage_error(capsys):
@@ -177,33 +177,47 @@ def test_usage_errors(capsys):
     assert run(["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", "10"]) == 2  # no seed
 
 
-def test_budget_exit_code(capsys):
-    code, _ = capture(capsys, ["enumerate", "--n", "4", "--cap", "10"])
-    assert code == 3
-    assert capture(capsys, ["enumerate", "--n", "3", "--cap", "0"])[0] == 3
+def test_budget_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(enumeration, "ELEMENT_BUDGET", 10)
+    code, out = capture(capsys, ["enumerate", "--n", "4"])
+    assert (code, out) == (3, "")
+    monkeypatch.setattr(enumeration, "ELEMENT_BUDGET", KNOWN_SIZES[2])
+    assert capture(capsys, ["enumerate", "--n", "2"])[0] == 0
 
 
 @pytest.mark.parametrize("table", [[], ["--table"]], ids=["list", "table"])
 def test_negative_cap_is_a_usage_error(table, capsys):
-    assert run(["enumerate", "--n", "3", "--cap", "-5", *table]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    # no option sets a budget: --cap, of any value, is an unknown argument
+    for cap in ("-5", "5"):
+        assert run(["enumerate", "--n", "3", "--cap", cap, *table]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --cap" in captured.err
 
 
 def test_ball_past_the_cap_is_refused_before_enumerating(capsys):
-    # |K_7| is over the default cap: refused by the count, before any element is built
-    assert run(["ball", "--n", "7", "--center", "1", "--r", "1"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "budget exceeded" in captured.err
+    # |K_7| is over ELEMENT_BUDGET: every larger rank is refused by the count
+    # of K_7, before any element is built
+    for n in ("7", "18", "1000000000000"):
+        for argv in (["enumerate"], ["ball", "--center", "1", "--r", "1"],
+                     ["sphere", "--r", "1"], ["rset"]):
+            assert run([argv[0], "--n", n, *argv[1:]]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "budget exceeded" in captured.err and "K_7 has 22263378" in captured.err
 
 
-def test_cardinality_table_budget_exit_code(capsys):
-    assert run(["enumerate", "--n", "3", "--table", "--cap", "3"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "budget exceeded" in captured.err
+def test_cardinality_table_budget_exit_code(monkeypatch, capsys):
+    # K_19's 2^19 idempotents reach distinct states: refused before any is built
+    for n in ("19", "1000000000000"):
+        assert run(["enumerate", "--n", n, "--table"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"automaton of K_{n} has more than" in captured.err
+    # K_3's automaton has 13 states
+    monkeypatch.setattr(enumeration, "STATE_BUDGET", 12)
+    assert run(["enumerate", "--n", "3", "--table"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_pmf_budget_exit_codes(capsys):
@@ -455,26 +469,24 @@ def test_malformed_report_is_an_input_error(edit, tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
-def test_one_bin_pvalue_prints_as_strict_json(tmp_path, capsys):
-    def strict(text):
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-        return json.loads(text, parse_constant=refuse)
+def test_one_bin_sample_is_a_usage_error(tmp_path, capsys):
+    def refused(argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "too few to test" in captured.err
 
     report = tmp_path / "report.json"
-    # one bin, dof 0, so the chi-square test fails: 5 trials pool into one
-    # bin, and in 4 no bin reaches an expected count of 5
-    for trials in ("5", "4"):
-        argv = ["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", trials, "--seed", "1",
-                "--out", str(report)]
-        code, out = capture(capsys, argv)
-        assert code == 1
-        assert strict(out)["chi2_pvalue"] is None
-        assert strict(out)["verdict"] == "fail" and report.read_text() == out
-        code, out = capture(capsys, ["verify", "--n", "2", "--report", str(report)])
-        assert code == 1
-        assert strict(out) == {"chi2_pvalue": None, "passed": False,
-                               "tv_distance": strict(report.read_text())["tv_vs_exact"]}
+    # no test can run: 5 trials pool into one bin, and in 4 no bin reaches
+    # an expected count of 5
+    for trials in (5, 4):
+        refused(["simulate", "--n", "2", "--p", "0.5,0.5", "--trials", str(trials),
+                 "--seed", "1", "--out", str(report)])
+        assert not report.exists()
+        report.write_text(stochastic.simulate(2, (0.5, 0.5), trials=trials, seed=1).to_json())
+        refused(["verify", "--n", "2", "--report", str(report)])
+        report.unlink()
 
 
 @pytest.mark.parametrize("argv", [
@@ -616,16 +628,20 @@ LARGE_RANK_COMMANDS = [
     ["rset"],
 ]
 # inputs that an admitted rank makes too large: a long word for a search by
-# definition, a pmf pass of n·K stage updates, and an automaton under a cap
-# that no longer bounds its states; each is refused with exit 3
+# definition, a pmf pass of n·K stage updates, an automaton past its states,
+# and the level chain's dense rows and squarings; each is refused with exit 3
 P_1000 = ",".join(["0.001"] * 1000)
+P_10000 = ",".join(["0.0001"] * 10000)
 LARGE_INPUT_COMMANDS = {
     "m --n 512 --word 1..200": ["m", "--n", "512", "--word", " ".join(map(str, range(1, 201)))],
     "pmf --n 1000": ["pmf", "--n", "1000", "--p", P_1000],
     "simulate --n 1000": ["simulate", "--n", "1000", "--p", P_1000, "--trials", "10",
                           "--seed", "1"],
-    "enumerate --n 1000 --table --cap 1e400": ["enumerate", "--n", "1000", "--table",
-                                               "--cap", str(10**400)],
+    "enumerate --n 1000 --table": ["enumerate", "--n", "1000", "--table"],
+    "pmf --n 10000 --k 1 --format json": ["pmf", "--n", "10000", "--p", P_10000, "--k", "1",
+                                          "--format", "json"],
+    "chain --n 10000": ["chain", "--n", "10000", "--p", P_10000],
+    "chain --n 30000": ["chain", "--n", "30000", "--p", ",".join([P_10000, *["0"] * 20000])],
 }
 CHILD_ADDRESS_SPACE = 1 << 30  # bytes; a runaway child fails its allocations, not the host
 

@@ -17,31 +17,41 @@ def test_known_sizes(universe2, universe3, universe4):
     assert len(universe4) == KNOWN_SIZES[4]
 
 
-def test_cap_flags_incomplete():
-    # 2^3 > 4 is refused before the automaton; K_3's 13 states pass 12
-    for cap in (4, 12):
-        with pytest.raises(enumeration.BudgetExceededError):
-            enumeration.enumerate_elements(3, cap=cap)
-    with pytest.raises(enumeration.BudgetExceededError):
-        enumeration.cardinality_table(max_rank=3, cap=KNOWN_SIZES[3] - 1)
-    assert len(enumeration.enumerate_elements(3, cap=KNOWN_SIZES[3])) == KNOWN_SIZES[3]
+def test_cap_flags_incomplete(monkeypatch):
+    # ELEMENT_BUDGET caps the list: one below |K_3|, it refuses K_3, and K_4
+    # already at K_3, the first rank past it
+    monkeypatch.setattr(enumeration, "ELEMENT_BUDGET", KNOWN_SIZES[3] - 1)
+    for n in (3, 4):
+        with pytest.raises(enumeration.BudgetExceededError, match=f"K_{n} .* K_3 has 18"):
+            enumeration.enumerate_elements(n)
+    monkeypatch.setattr(enumeration, "ELEMENT_BUDGET", KNOWN_SIZES[3])
+    assert len(enumeration.enumerate_elements(3)) == KNOWN_SIZES[3]
+    # STATE_BUDGET bounds the count: K_3's automaton has 13 states
+    monkeypatch.setattr(enumeration, "STATE_BUDGET", 12)
+    with pytest.raises(enumeration.BudgetExceededError, match="K_3 has more than 12 states"):
+        enumeration.cardinality_table(max_rank=3)
 
 
 def test_large_rank_is_refused_early():
-    # 2^n > cap refuses before any automaton state is built, also at a rank
-    # whose state bits 1 << 2n would not fit in memory
+    # |K_7| > ELEMENT_BUDGET refuses every larger rank after counting K_2..K_7,
+    # also at a rank whose state bits 1 << 2n would not fit in memory
     start = time.perf_counter()
-    for n in (40, 10**12):
-        with pytest.raises(enumeration.BudgetExceededError):
+    for n in (*range(7, 19), 40, 10**12):
+        with pytest.raises(enumeration.BudgetExceededError, match="K_7 has 22263378"):
             enumeration.enumerate_elements(n)
     assert time.perf_counter() - start < 2.0
 
 
-def test_negative_cap_is_refused():
-    with pytest.raises(ValueError, match="cap"):
-        enumeration.enumerate_elements(3, cap=-5)
-    with pytest.raises(ValueError, match="cap"):
-        enumeration.cardinality_table(max_rank=3, cap=-5)
+def test_automaton_state_count():
+    # K_n's automaton has n·2^(n-1) + 1 states, the count STATE_BUDGET is
+    # priced on: K_15's 245,761 are admitted and K_16's 524,289 refused
+    for n in range(2, 13):
+        count, _, moves = enumeration._automaton(n)
+        assert len(moves) == n * 2 ** (n - 1) + 1
+        if n in KNOWN_SIZES:
+            assert count == KNOWN_SIZES[n]
+    assert 15 * 2**14 + 1 <= enumeration.STATE_BUDGET < 16 * 2**15 + 1
+    assert 15 * 2**14 + 1 <= enumeration.STATE_BUDGET < 16 * 2**15 + 1
 
 
 def test_walk_matches_bfs_at_rank_6():
@@ -119,10 +129,8 @@ def test_cardinality_table():
 
 
 def test_cardinality_table_counts_to_rank_10():
-    table = enumeration.cardinality_table(max_rank=10, cap=10**23)
+    table = enumeration.cardinality_table(max_rank=10)
     assert table == [(n, KNOWN_SIZES[n]) for n in range(2, 11)]
-    with pytest.raises(enumeration.BudgetExceededError):
-        enumeration.cardinality_table(max_rank=10, cap=10**22)
 
 
 def test_cardinality_table_below_rank_2_is_rejected():

@@ -26,7 +26,7 @@ def _identity_delete(members, x):
 CASES = [
     ("oracle-unstable", [(enumeration, "_closure_roots", lambda n, m: ([0, 1], [0, 0]))],
      lambda: enumeration.congruence_oracle(2, 1), CrosscheckError, "slack"),
-    ("growth-ratios", [(enumeration, "_automaton", lambda n, cap: (2**n, None, None))],
+    ("growth-ratios", [(enumeration, "_automaton", lambda n: (2**n, None, None))],
      lambda: enumeration.cardinality_table(4), CrosscheckError, "growth ratios"),
     ("level-search-runs-out", [(level_metric, "delete", _identity_delete)],
      lambda: level_metric.level_by_definition(core.generator(3, 1)), CrosscheckError,
@@ -41,11 +41,19 @@ CASES = [
     ("pmf-truncation-past-budget-at-n", [],
      lambda: levelchain.hitting_pmf((0.1,) * 10, k_max=levelchain.max_k(10) + 1),
      BudgetExceededError, "budget 200000 at n = 10"),
+    ("chain-rows-past-budget", [], lambda: levelchain.transition_rows((0.0005,) * 2000),
+     BudgetExceededError, "n = 2000: over 4000000 entries"),
+    ("tail-mean-squarings-past-budget", [], lambda: levelchain.tail_mean((0.005,) * 200, 1000),
+     BudgetExceededError, "n = 200: 72000000 units past 30000000"),
+    ("sample-too-small-to-test", [],
+     lambda: stochastic.verify_distribution(stochastic.simulate(2, (0.5, 0.5), 5, seed=1),
+                                            stochastic.exact_hitting_pmf((0.5, 0.5))),
+     ValueError, "5 trials are too few to test"),
     ("automaton-states-past-budget", [(enumeration, "STATE_BUDGET", 100)],
-     lambda: enumeration.enumerate_elements(6, cap=10**9), BudgetExceededError,
+     lambda: enumeration.enumerate_elements(6), BudgetExceededError,
      "more than 100 states"),
     ("automaton-idempotents-past-budget", [],
-     lambda: enumeration.cardinality_table(19, cap=10**400), BudgetExceededError,
+     lambda: enumeration.cardinality_table(19), BudgetExceededError,
      "automaton of K_19 has more than 262144 states"),
     ("oracle-rank-below-2", [], lambda: enumeration.congruence_oracle(1, 3), ValueError,
      "rank"),

@@ -586,14 +586,15 @@ def test_chi2_sf_edges():
         assert st.chi2_sf(dof, math.inf) == 0.0
 
 
-def test_one_bin_verdict_fails():
+def test_one_bin_sample_is_refused():
     pmf = st.exact_hitting_pmf([0.5, 0.5])
-    # 6 trials pool into one bin; in 4, no bin reaches an expected count of 5
+    # 6 trials pool into one bin; in 4, no bin reaches an expected count of 5;
+    # 12 pool into two, and one degree of freedom can be tested
     for trials in (6, 4):
-        verdict = st.verify_distribution(sample_from_pmf(pmf, trials, seed=1), pmf, tv_bound=1.0)
-        assert verdict.dof == 0
-        assert math.isnan(verdict.chi2_pvalue)
-        assert not verdict.passed
+        with pytest.raises(ValueError, match=f"{trials} trials are too few to test"):
+            st.verify_distribution(sample_from_pmf(pmf, trials, seed=1), pmf, tv_bound=1.0)
+    verdict = st.verify_distribution(sample_from_pmf(pmf, 12, seed=1), pmf, tv_bound=1.0)
+    assert verdict.dof == 1 and not math.isnan(verdict.chi2_pvalue)
 
 
 def test_default_bounds_are_the_rule():
