@@ -231,10 +231,10 @@ def _dispatch(args) -> int:
         from kiselman import levelchain
 
         p = _probs(args)
-        probs, tail_mass = levelchain.hitting_pmf(p, k_max=args.k)
+        probs, tail_mass, tail_mean = levelchain.hitting_pmf(p, k_max=args.k)
         if args.format == "json":
             _print_json({"probs": probs, "tail_mass": tail_mass,
-                         "mean": levelchain.mean(p, probs)})
+                         "mean": levelchain.mean(probs, tail_mean)})
         else:
             for k, prob in enumerate(probs):
                 print(f"P(T={k})={prob:.12g}")

@@ -26,11 +26,11 @@ _set_field = object.__setattr__
 class BudgetExceededError(RuntimeError):
     """A computation would exceed its budget: the elements of K_n's list
     (refused at the first rank m <= n with |K_m| past it) or the automaton's
-    states (a rank with 2^n past them is refused at once), the rank or the
-    estimated work of a search by definition, the oracle's word universe,
-    the exact pmf's support, the level chain's dense rows or the squarings
-    of its tail mean, a simulated trial's step count or the letters a
-    partial product reads.  Every budget is a module constant.
+    states (refused before any is built), the rank or the estimated work of
+    a search by definition, the oracle's word universe, the exact pmf's
+    support, the level chain's dense rows, a simulated trial's step count or
+    the letters a partial product reads.  Every budget is a module
+    constant.
 
     It is every budget's one refusal, and it lives here, beside the
     algebra, so that the CLI maps it to exit 3 having loaded only ``core``.

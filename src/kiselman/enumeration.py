@@ -42,9 +42,9 @@ ORACLE_SLACK = 2  # extra word length over max_len within which relations apply
 ORACLE_BUDGET = 1 << 20
 # most elements K_n's list may hold: K_6 has 83,973 and K_7 22,263,378
 ELEMENT_BUDGET = 1_000_000
-# most states the canonical-word automaton may build: K_n's has n·2^(n-1) + 1,
+# most states the canonical-word automaton may have: K_n's has n·2^(n-1) + 1,
 # so K_15's 245,761 states, about 0.9 KB each (a 240 MB peak) and 4 s on a
-# 2-CPU VM, are admitted and K_16's 524,289 refused
+# 2-CPU VM, are admitted and K_16's 524,289 refused before any is built
 STATE_BUDGET = 1 << 18
 
 
@@ -146,17 +146,17 @@ def _automaton(n: int) -> tuple[int, int, dict[int, list[tuple[int, int]]]]:
     bits are set.  An absent letter behaves exactly like one with both bits
     set, so it is stored as such and the start state has every bit set.
 
-    Raises ``BudgetExceededError`` iff the automaton has more than
-    STATE_BUDGET states: at once when 2^n exceeds it, before any state is
-    built, since the 2^n idempotents e_X are distinct and their decreasing
-    words reach distinct states (a letter that occurred has its high bit
-    clear), and otherwise as soon as the states built pass it.
+    The automaton has n·2^(n-1) + 1 states.  Raises
+    ``BudgetExceededError``, before any state is built, iff that count
+    passes STATE_BUDGET; n is compared with the budget's bit length first,
+    so 2^(n-1) is never formed for a large n.  A build whose states pass
+    the count raises ``CrosscheckError``, so the count the refusal rests on
+    is checked on every admitted build.
     The words are finite in number, so the automaton is acyclic: its path
     counts are summed children first, on an explicit stack.
     """
-    past_budget = f"the automaton of K_{n} has more than {STATE_BUDGET} states"
-    if n >= STATE_BUDGET.bit_length():  # 2^n > STATE_BUDGET, without forming 2^n
-        raise BudgetExceededError(past_budget)
+    if n >= STATE_BUDGET.bit_length() or (states := n * 2 ** (n - 1) + 1) > STATE_BUDGET:
+        raise BudgetExceededError(f"the automaton of K_{n} has more than {STATE_BUDGET} states")
     start = (1 << 2 * n) - 1
     shift = {v: 2 * (v - 1) for v in range(1, n + 1)}
     # the bits letter v sets in every other letter, and the mask clearing v's own
@@ -171,8 +171,8 @@ def _automaton(n: int) -> tuple[int, int, dict[int, list[tuple[int, int]]]]:
             out = moves[s] = [
                 (v, (s | seen[v]) & clear[v]) for v in shift if s >> shift[v] & 3 == 3
             ]
-            if len(moves) > STATE_BUDGET:
-                raise BudgetExceededError(past_budget)
+            if len(moves) > states:
+                raise CrosscheckError(f"the automaton of K_{n} has more than {states} states")
             stack += [t for _, t in out if t not in moves]
             continue
         stack.pop()
@@ -358,9 +358,8 @@ def cardinality_table(max_rank: int = 4) -> list[tuple[int, int]]:
     """[(n, |K_n|)] for n = 2..max_rank, counted without building any
     element; raises ``BudgetExceededError`` if some automaton has more than
     STATE_BUDGET states.  The ranks are counted from the largest down, so a
-    refusal comes before any smaller rank is counted, and at once if
-    2^max_rank passes the budget.  Consecutive ratios must be strictly
-    increasing."""
+    refusal comes at once, before any smaller rank is counted.  Consecutive
+    ratios must be strictly increasing."""
     validate_word(max_rank, ())
     table = [(n, _automaton(n)[0]) for n in range(max_rank, 1, -1)][::-1]
     ratios = [b / a for (_, a), (_, b) in zip(table, table[1:])]

@@ -6,10 +6,11 @@ probability 1 - p_i and steps down to i - 1 with probability p_i.  Its
 absorption time T is a sum of n independent geometric variables with
 success probabilities p_i.  This module states that law once: the checks
 on p, the transition rows, the convolution pass that gives P(T = k), and
-E[T] with the truncated tail restored.  It needs nothing beyond the
-standard library, so the ``chain`` and ``pmf`` commands load no array
-library; ``kiselman.stochastic`` wraps these results in arrays.  Every
-budget refuses with ``BudgetExceededError``.
+E[T] with the truncated tail restored from the pass's last stage by
+memorylessness.  It needs nothing beyond the standard library, so the
+``chain`` and ``pmf`` commands load no array library;
+``kiselman.stochastic`` wraps these results in arrays.  Every budget
+refuses with ``BudgetExceededError``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ PMF_MAX_K = 1_000_000  # largest pmf truncation at n = 2; (1 - q, q) with q = 3e
 # most entries (n + 1)^2 of the dense transition rows: `chain --n 1999` prints
 # its 4,000,000 in about 1 s on a 2-CPU VM
 ENTRY_BUDGET = 4_000_000
-# most n^3 · (squarings) of tail_mean's repeated squaring of the n × n matrix
-# Q: a unit takes about 46 ns on a 2-CPU VM, and the slowest admitted calls,
-# n = 310 with one squaring or n = 246 with two, take about 1.5 s
-SQUARING_BUDGET = 30_000_000
 
 
 def validate_probabilities(p) -> tuple[float, ...]:
@@ -86,10 +83,11 @@ def max_k(n: int) -> int:
     return 2 * PMF_MAX_K // n
 
 
-def hitting_pmf(p, k_max: int | None = None) -> tuple[list[float], float]:
-    """P(T = k) for k = 0..K and the tail mass 1 - sum_k P(T = k), from the
-    convolution of n geometric pmfs (success p_i, support k >= 1) in one
-    O(n * K) forward pass over k.
+def hitting_pmf(p, k_max: int | None = None) -> tuple[list[float], float, float]:
+    """P(T = k) for k = 0..K, the tail mass 1 - sum_k P(T = k) and the tail
+    mean sum_{k > K} k P(T = k) (:func:`tail_mean`), from the convolution
+    of n geometric pmfs (success p_i, support k >= 1) in one O(n * K)
+    forward pass over k.
 
     ``stage[i]`` holds P(S_i = k) for S_i = T_1 + ... + T_i, updated by
     P(S_i = k) = (1 - p_i) P(S_i = k - 1) + p_i P(S_{i-1} = k - 1).  With
@@ -125,60 +123,28 @@ def hitting_pmf(p, k_max: int | None = None) -> tuple[list[float], float]:
         mass += stage[n]
     if k_max is None and mass < 1.0 - PMF_TAIL:
         raise BudgetExceededError(tail_past_budget)
-    return probs, 1.0 - mass
+    return probs, 1.0 - mass, tail_mean(p, len(probs) - 1, stage)
 
 
-def mean(p, probs) -> float:
-    """E[T] from ``probs`` = P(T = k), k = 0..K, as :func:`hitting_pmf`
-    gives them for p: the head sum_{k <= K} k P(T = k) plus
-    :func:`tail_mean`."""
-    head = math.fsum(k * q for k, q in enumerate(probs))
-    return head + tail_mean(p, len(probs) - 1)
+def tail_mean(p, k_max: int, stage) -> float:
+    """sum_{k > K} k P(T = k) for K = ``k_max``, from the pass's last
+    stage: ``stage[i]`` = P(S_i = K) for i = 0..n, with S_0 = 0.
 
-
-def tail_mean(p, k_max: int) -> float:
-    """sum_{k > K} k P(T = k) = pi Q^K [(K+1)(I-Q)^{-1} + Q (I-Q)^{-2}] r for
-    K = ``k_max`` and a p that :func:`hitting_pmf` accepts.
-
-    Q, r and pi are read off :func:`transition_rows` and
-    :func:`initial_distribution`: Q is the chain on the transient levels
-    1..n, r its absorption column (p_1 at level 1) and pi the start at
-    level n.  Q is lower bidiagonal, so pi Q^K comes from repeated squaring
-    and (I - Q)^{-1} from forward substitution: row i of I - Q is
-    p_i (x_i - x_{i-1}).  Raises ``BudgetExceededError``, before any row
-    is built, when n^3 per squaring passes SQUARING_BUDGET.
+    On the event S_i <= K < S_{i+1} the geometric T_{i+1} has failed
+    K - S_i times, so by memorylessness T has mean K + sum_{l > i} 1/p_l
+    there.  The event has probability P(S_{i+1} = K + 1) / p_{i+1} =
+    (1 - p_{i+1}) stage[i+1] / p_{i+1} + stage[i], by the pass's own
+    update.  O(n), whatever K.
     """
-    work = len(p) ** 3 * (k_max.bit_length() - 1)  # n^3 per squaring
-    if work > SQUARING_BUDGET:
-        raise BudgetExceededError(f"tail mean at n = {len(p)}: {work} units past {SQUARING_BUDGET}")
-    rows = transition_rows(p)[1:]
-    q = [row[1:] for row in rows]  # level i + 1 at index i
-
-    def solve(b):  # (I - Q)^{-1} b
-        x, prev = [], 0.0
-        for pi, bi in zip(p, b):
-            prev += bi / pi
-            x.append(prev)
-        return x
-
-    w = solve([row[0] for row in rows])  # (I - Q)^{-1} r
-    u = solve(w)  # (I - Q)^{-2} r
-    x = [(k_max + 1) * wi + _dot(row, u) for wi, row in zip(w, q)]
-    dist = initial_distribution(len(p))[1:]  # pi, then pi Q^K by repeated squaring
-    power, k = q, k_max
-    while k:
-        if k & 1:
-            dist = _row_times(dist, power)
-        k >>= 1
-        if k:
-            power = [_row_times(row, power) for row in power]
-    return _dot(dist, x)
+    total, rest = 0.0, k_max  # rest = K + sum_{l > i} 1/p_l
+    for i in range(len(p) - 1, -1, -1):
+        rest += 1.0 / p[i]
+        total += ((1.0 - p[i]) * stage[i + 1] / p[i] + stage[i]) * rest
+    return total
 
 
-def _dot(a, b) -> float:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _row_times(row, matrix) -> list[float]:
-    """The row vector ``row`` times ``matrix``."""
-    return [_dot(row, col) for col in zip(*matrix)]
+def mean(probs, tail_mean: float) -> float:
+    """E[T] from ``probs`` = P(T = k), k = 0..K, and the tail mean that
+    :func:`hitting_pmf` returns with them: the head sum_{k <= K} k P(T = k)
+    plus the tail."""
+    return math.fsum(k * q for k, q in enumerate(probs)) + tail_mean

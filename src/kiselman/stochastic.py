@@ -174,11 +174,13 @@ def chain_hitting_cdf(p, k_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HittingTimePMF:
-    """Exact distribution of the absorption time, truncated with tail mass."""
+    """Exact distribution of the absorption time, truncated with its tail's
+    mass and mean."""
 
     p: np.ndarray
     probs: np.ndarray  # P(T = k) for k = 0..k_max
     tail_mass: float
+    tail_mean: float  # sum_{k > k_max} k P(T = k)
 
     @property
     def k_max(self) -> int:
@@ -188,9 +190,9 @@ class HittingTimePMF:
         return np.cumsum(self.probs)
 
     def mean(self) -> float:
-        """E[T], with the truncated tail restored exactly
+        """E[T]: the truncated head plus the tail mean that the pass gave
         (:func:`levelchain.mean`)."""
-        return levelchain.mean(self.p.tolist(), self.probs.tolist())
+        return levelchain.mean(self.probs.tolist(), self.tail_mean)
 
 
 def exact_hitting_pmf(p, k_max: int | None = None) -> HittingTimePMF:
@@ -198,8 +200,8 @@ def exact_hitting_pmf(p, k_max: int | None = None) -> HittingTimePMF:
     arrays: P(T = k) for k = 0..k_max, by default up to a tail of at most
     PMF_TAIL."""
     p = validate_probabilities(p)
-    probs, tail_mass = levelchain.hitting_pmf(p, k_max)
-    return HittingTimePMF(p=p, probs=np.array(probs), tail_mass=tail_mass)
+    probs, tail_mass, tail_mean = levelchain.hitting_pmf(p, k_max)
+    return HittingTimePMF(p=p, probs=np.array(probs), tail_mass=tail_mass, tail_mean=tail_mean)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ A failed check raises ``CrosscheckError`` (exit 1), bad input a
 no outcome, so the package has neither.
 """
 
+import argparse
 import ast
 import builtins
+import re
 from pathlib import Path
 
 from kiselman import cli
@@ -81,3 +83,43 @@ def test_run_maps_each_outcome_to_its_exit_code():
         ("ValueError", "OSError"): 2,
     }
     assert (cli.EXIT_VERIFY_FAILED, cli.EXIT_USAGE, cli.EXIT_BUDGET) == (1, 2, 3)
+
+
+# every budget of aim 3: a module constant of a library module.  The cli's
+# EXIT_* are exit codes and selftest's constants size its checks, so neither
+# module is read.
+BUDGETS = {"ORACLE_BUDGET", "ELEMENT_BUDGET", "STATE_BUDGET", "SEARCH_MAX_RANK", "SEARCH_BUDGET",
+           "PMF_MAX_K", "ENTRY_BUDGET", "STEP_BUDGET", "PRODUCT_BUDGET"}
+BUDGET_NAME = re.compile(r"[A-Z0-9_]+_(BUDGET|MAX_RANK|MAX_K)")
+SETTABLE_BUDGET = re.compile(r"cap|budget|limit|\w+_budget")
+
+
+def test_the_budgets_are_exactly_nine_module_constants():
+    found = set()
+    for filename, tree in _trees().items():
+        if filename in ("cli.py", "selftest.py"):
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                found |= {t.id for t in node.targets
+                          if isinstance(t, ast.Name) and BUDGET_NAME.fullmatch(t.id)}
+    assert found == BUDGETS
+
+
+def test_no_parameter_and_no_option_sets_a_budget():
+    settable = []
+    for filename, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                          *filter(None, (args.vararg, args.kwarg))]
+                settable += [(filename, node.lineno, a.arg) for a in params
+                             if SETTABLE_BUDGET.fullmatch(a.arg)]
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, command in commands.choices.items():
+        settable += [(name, option) for action in command._actions
+                     for option in action.option_strings
+                     if SETTABLE_BUDGET.fullmatch(option.lstrip("-").replace("-", "_"))]
+    assert settable == []

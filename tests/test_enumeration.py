@@ -17,7 +17,7 @@ def test_known_sizes(universe2, universe3, universe4):
     assert len(universe4) == KNOWN_SIZES[4]
 
 
-def test_cap_flags_incomplete(monkeypatch):
+def test_budgets_refuse_the_list_and_the_count(monkeypatch):
     # ELEMENT_BUDGET caps the list: one below |K_3|, it refuses K_3, and K_4
     # already at K_3, the first rank past it
     monkeypatch.setattr(enumeration, "ELEMENT_BUDGET", KNOWN_SIZES[3] - 1)
@@ -51,7 +51,15 @@ def test_automaton_state_count():
         if n in KNOWN_SIZES:
             assert count == KNOWN_SIZES[n]
     assert 15 * 2**14 + 1 <= enumeration.STATE_BUDGET < 16 * 2**15 + 1
-    assert 15 * 2**14 + 1 <= enumeration.STATE_BUDGET < 16 * 2**15 + 1
+
+
+def test_automaton_past_its_states_is_refused_before_it_is_built():
+    # K_16, K_17 and K_18 have 2^n below STATE_BUDGET but n·2^(n-1) + 1 states past it
+    start = time.perf_counter()
+    for n in (16, 17, 18):
+        with pytest.raises(enumeration.BudgetExceededError, match=f"K_{n} has more than"):
+            enumeration.cardinality_table(n)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_walk_matches_bfs_at_rank_6():

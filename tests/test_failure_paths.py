@@ -43,8 +43,6 @@ CASES = [
      BudgetExceededError, "budget 200000 at n = 10"),
     ("chain-rows-past-budget", [], lambda: levelchain.transition_rows((0.0005,) * 2000),
      BudgetExceededError, "n = 2000: over 4000000 entries"),
-    ("tail-mean-squarings-past-budget", [], lambda: levelchain.tail_mean((0.005,) * 200, 1000),
-     BudgetExceededError, "n = 200: 72000000 units past 30000000"),
     ("sample-too-small-to-test", [],
      lambda: stochastic.verify_distribution(stochastic.simulate(2, (0.5, 0.5), 5, seed=1),
                                             stochastic.exact_hitting_pmf((0.5, 0.5))),

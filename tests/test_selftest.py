@@ -98,9 +98,10 @@ def test_truncation_entry_moved_to_another_class_on_k4_is_caught(fault, monkeypa
 
 @pytest.mark.parametrize("scale", [0.0, 1.001], ids=["zero", "0.1%-off"])
 def test_wrong_tail_mean_is_caught(scale, monkeypatch):
-    # the smallest tail term the check meets is 2.1e-8, above its 1e-9 tolerance
+    # at k_max = 5 and 40 the tail is most of E[T], so 0.1% of it is far past the 1e-9 tolerance
     tail_mean = levelchain.tail_mean
-    monkeypatch.setattr(levelchain, "tail_mean", lambda p, k_max: scale * tail_mean(p, k_max))
+    monkeypatch.setattr(levelchain, "tail_mean",
+                        lambda p, k_max, stage: scale * tail_mean(p, k_max, stage))
     assert selftest.check_pmf_mean() is False
 
 

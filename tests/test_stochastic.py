@@ -221,8 +221,10 @@ def test_a_zero_probability_is_refused_by_the_pass(p):
 
 
 def numpy_mean(pmf) -> float:
-    """E[T] by numpy's inverse and matrix power, the formula that
-    ``levelchain.tail_mean`` evaluates by substitution and squaring."""
+    """E[T] by numpy's inverse and matrix power of the transient matrix Q:
+    pi Q^K [(K+1)(I-Q)^{-1} + Q (I-Q)^{-2}] r restores the tail from the
+    chain alone, independently of ``levelchain.tail_mean``, which reads
+    the tail off the pass's last stage by memorylessness."""
     head = float(np.arange(len(pmf.probs)) @ pmf.probs)
     chain = st.transition_matrix(pmf.p)
     q = chain.matrix[1:, 1:]
@@ -245,6 +247,10 @@ def test_mean_matches_the_numpy_formula():
                 assert pmf.mean() == pytest.approx(numpy_mean(pmf), rel=1e-12, abs=0)
     pmf = st.exact_hitting_pmf([1.0 - 3e-5, 3e-5])
     assert pmf.mean() == pytest.approx(numpy_mean(pmf), rel=1e-12, abs=0)
+    # large n, where the tail is most of E[T]
+    for n, k_max in ((60, 5), (150, 2000), (300, 2000)):
+        pmf = st.exact_hitting_pmf(random_positive_p(rng, n), k_max)
+        assert pmf.mean() == pytest.approx(numpy_mean(pmf), rel=1e-11, abs=0)
 
 
 def test_hopeless_default_truncation_is_refused_before_the_pass():
@@ -551,7 +557,8 @@ def test_verify_negative_control():
     pmf_wrong = st.exact_hitting_pmf([1 / 3, 1 / 3, 1 / 3])
     rep = st.simulate(2, (0.5, 0.5), trials=50000, seed=23, mode="level")
     pmf_wrong = st.HittingTimePMF(
-        p=np.array([0.5, 0.5]), probs=pmf_wrong.probs, tail_mass=pmf_wrong.tail_mass
+        p=np.array([0.5, 0.5]), probs=pmf_wrong.probs, tail_mass=pmf_wrong.tail_mass,
+        tail_mean=pmf_wrong.tail_mean,
     )
     verdict = st.verify_distribution(rep, pmf_wrong)
     assert not verdict.passed
