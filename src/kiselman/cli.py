@@ -138,11 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--mode", choices=("level", "full"), default="full")
     cmd.add_argument("--out", default=None, help="write the report JSON here")
 
+    # the rule's values: stochastic.TV_FAILURE_PROB and stochastic.PVALUE_FLOOR
     cmd = add("verify", "compare a simulation report against the exact pmf", formats=())
+    cmd.description = ("passes at a TV distance below a bound that a correct run exceeds "
+                       "with probability 0.001 and a chi-square p-value above 1e-3")
     cmd.add_argument("--report", required=True, help="report JSON file")
-    cmd.add_argument("--tv-bound", type=float, help="default: exceeded by a correct run "
-                     "with probability 0.001")  # stochastic.TV_FAILURE_PROB
-    cmd.add_argument("--pvalue-floor", type=float)  # default: stochastic.PVALUE_FLOOR
 
     add("selftest", "run every internal consistency check", rank=False, formats=())
     return parser
@@ -248,6 +248,7 @@ def _dispatch(args) -> int:
         p = stochastic.validate_simulation(args.n, _probs(args), args.trials, args.seed, args.mode)
         # a pmf past its budget is refused before any trial runs
         pmf = stochastic.exact_hitting_pmf(p)
+        stochastic.chi2_bins(pmf, args.trials)  # and a run too small to test
         report = stochastic.simulate(args.n, p, trials=args.trials, seed=args.seed, mode=args.mode)
         verdict = stochastic.verify_distribution(report, pmf)
         payload = json.loads(report.to_json())
@@ -270,7 +271,7 @@ def _dispatch(args) -> int:
         if report.rank != args.n:
             raise ValueError(f"--n is {args.n} but the report has rank {report.rank}")
         pmf = stochastic.exact_hitting_pmf(report.p)
-        verdict = stochastic.verify_distribution(report, pmf, args.tv_bound, args.pvalue_floor)
+        verdict = stochastic.verify_distribution(report, pmf)
         _print_json({
             "tv_distance": verdict.tv_distance,
             "chi2_pvalue": verdict.chi2_pvalue,

@@ -152,8 +152,9 @@ def generator(rank: int, i: int) -> Element:
 
 
 def idempotent(rank: int, members) -> Element:
-    """e_X: the product of generators of X in strictly decreasing order."""
-    word = validate_word(rank, sorted(members, reverse=True))
+    """e_X: the product of generators of X in strictly decreasing order; a
+    repeated member is one letter, since a_i a_i = a_i."""
+    word = validate_word(rank, sorted(set(members), reverse=True))
     # strictly decreasing words are already canonical
     return Element(rank, word)
 

@@ -10,8 +10,10 @@ That exact law is computed once, without numpy, in :mod:`kiselman.levelchain`;
 this module wraps its results in arrays, and :func:`chain_hitting_cdf`
 checks them independently by powers of the transition matrix.
 
-:func:`verify_distribution` alone decides a simulation's verdict, by
-default at the TV bound of :func:`tv_tolerance` and at PVALUE_FLOOR.  Every
+:func:`verify_distribution` alone decides a simulation's verdict, by one
+rule of the pmf and the trial count with no settable value: the TV bound of
+:func:`tv_tolerance`, PVALUE_FLOOR, and the bins of :func:`chi2_bins`, which
+refuse a run too small to test before its first trial.  Every
 budget here refuses with ``BudgetExceededError``, and every failed
 cross-check of a simulation (a lane's stream against numpy's, a walk's
 level against the chain's) raises ``CrosscheckError``; both are defined
@@ -185,6 +187,11 @@ class HittingTimePMF:
     @property
     def k_max(self) -> int:
         return len(self.probs) - 1
+
+    @property
+    def with_tail(self) -> np.ndarray:
+        """P(T = k) for k = 0..k_max, then the tail's mass."""
+        return np.append(self.probs, self.tail_mass)
 
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.probs)
@@ -643,7 +650,7 @@ def tv_tolerance(pmf: HittingTimePMF, trials: int) -> float:
     most TV_FAILURE_PROB, capped at 1: E[TV] <= 1/2 sum_k sqrt(q_k (1 - q_k) / N)
     (Jensen) for the truncated pmf q, tail pooled, and one draw moves TV by at
     most 1/N, so McDiarmid adds sqrt(ln(1 / TV_FAILURE_PROB) / (2 N))."""
-    q = np.clip(np.append(pmf.probs, pmf.tail_mass), 0.0, 1.0)  # the tail may round below 0
+    q = np.clip(pmf.with_tail, 0.0, 1.0)  # the tail may round below 0
     mean = 0.5 * float(np.sqrt(q * (1.0 - q) / trials).sum())
     return min(1.0, mean + float(np.sqrt(np.log(1.0 / TV_FAILURE_PROB) / (2 * trials))))
 
@@ -670,68 +677,68 @@ def chi2_sf(dof: int, x: float) -> float:
     return math.fsum(terms) + (math.erfc(math.sqrt(h)) if dof % 2 else 0.0)
 
 
-def verify_distribution(
-    report: SimulationReport,
-    pmf: HittingTimePMF,
-    tv_bound: float | None = None,
-    pvalue_floor: float | None = None,
-) -> Verdict:
+def chi2_bins(pmf: HittingTimePMF, trials: int) -> list[tuple[slice, ...]]:
+    """The chi-square bins of ``trials`` draws, as slices of ``pmf.with_tail``
+    listed right to left: pooled from the right until each bin expects 5
+    draws, with the leftover, which expects fewer, as a second slice of the
+    leftmost bin.  They depend on the pmf and the trial count alone, so a run
+    too small to test is refused before it runs: raises ``ValueError`` when
+    fewer than two bins expect 5."""
+    expected = (pmf.with_tail * trials).tolist()
+    bins: list[tuple[slice, ...]] = []
+    stop, acc = len(expected), 0.0
+    for k in range(stop - 1, -1, -1):
+        acc += expected[k]
+        if acc >= 5.0:
+            bins.append((slice(k, stop),))
+            stop, acc = k, 0.0
+    if len(bins) < 2:
+        raise ValueError(f"{trials} trials are too few to test: fewer than two bins expect 5")
+    bins[-1] += (slice(0, stop),)
+    return bins
+
+
+def verify_distribution(report: SimulationReport, pmf: HittingTimePMF) -> Verdict:
     """Compare an empirical hitting-time histogram against the exact pmf.
 
-    Total-variation distance over the truncated support (tail pooled) plus
-    a chi-square test over bins with expected count >= 5.  ``None`` bounds
-    are the rule: ``tv_tolerance(pmf, report.trials)`` and PVALUE_FLOOR.
-    Raises ``ValueError`` unless 0 < tv_bound <= 1 and 0 <= pvalue_floor < 1,
-    and for a sample too small to test: one with fewer than two such bins.
+    The verdict passes when the total-variation distance over the truncated
+    support (tail pooled) is below ``tv_tolerance(pmf, report.trials)`` and
+    the chi-square p-value over :func:`chi2_bins` is above PVALUE_FLOOR.
+    Raises ``ValueError`` when report and pmf disagree on n, and for a sample
+    too small to test.
     """
-    if tv_bound is None:
-        tv_bound = tv_tolerance(pmf, report.trials)
-    if pvalue_floor is None:
-        pvalue_floor = PVALUE_FLOOR
-    # written so that NaN fails too; an infinite bound would switch a check off
-    if not 0.0 < tv_bound <= 1.0:
-        raise ValueError(f"tv_bound must lie in (0, 1], got {tv_bound!r}")
-    if not 0.0 <= pvalue_floor < 1.0:
-        raise ValueError(f"pvalue_floor must lie in [0, 1), got {pvalue_floor!r}")
     if report.rank != len(pmf.p):
         raise ValueError("report and pmf disagree on n")
     trials = report.trials
+    bins = chi2_bins(pmf, trials)
     k_max = pmf.k_max
     empirical = np.zeros(k_max + 2)  # last slot pools the tail
     for k, count in report.histogram.items():
         empirical[min(int(k), k_max + 1)] += count
     empirical /= trials
-    exact = np.append(pmf.probs, pmf.tail_mass)
+    exact = pmf.with_tail
     tv = 0.5 * float(np.abs(empirical - exact).sum())
 
-    # chi-square: pool bins (from the right) until expected >= 5 each
-    expected_counts = exact * trials
-    observed_counts = empirical * trials
-    obs_bins: list[float] = []
-    exp_bins: list[float] = []
-    acc_obs = acc_exp = 0.0
-    for o, x in zip(observed_counts[::-1], expected_counts[::-1]):
-        acc_obs += o
-        acc_exp += x
-        if acc_exp >= 5.0:
-            obs_bins.append(acc_obs)
-            exp_bins.append(acc_exp)
-            acc_obs = acc_exp = 0.0
-    if len(obs_bins) < 2:
-        raise ValueError(f"{trials} trials are too few to test: fewer than two bins expect 5")
-    obs_bins[-1] += acc_obs
-    exp_bins[-1] += acc_exp
-    obs_arr = np.array(obs_bins)
-    exp_arr = np.array(exp_bins) * obs_arr.sum() / sum(exp_bins)
+    def total(values):  # one addition at a time, in order: never a compensated sum
+        return functools.reduce(operator.add, values, 0.0)
+
+    def pooled(counts):  # each slice summed right to left, as chi2_bins formed it
+        counts = counts.tolist()
+        return [total(total(counts[part][::-1]) for part in parts) for parts in bins]
+
+    obs_arr = np.array(pooled(empirical * trials))
+    exp_bins = pooled(exact * trials)
+    exp_arr = np.array(exp_bins) * obs_arr.sum() / total(exp_bins)
     chi2 = ((obs_arr - exp_arr) ** 2 / exp_arr).sum()
-    dof = len(obs_bins) - 1
+    dof = len(bins) - 1
     pvalue = chi2_sf(dof, float(chi2))
+    tv_bound = tv_tolerance(pmf, trials)
     return Verdict(
-        passed=bool(tv < tv_bound and pvalue > pvalue_floor),
+        passed=bool(tv < tv_bound and pvalue > PVALUE_FLOOR),
         tv_distance=tv,
         tv_bound=tv_bound,
         chi2_statistic=float(chi2),
         chi2_pvalue=float(pvalue),
-        pvalue_floor=pvalue_floor,
+        pvalue_floor=PVALUE_FLOOR,
         dof=dof,
     )

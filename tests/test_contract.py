@@ -92,6 +92,8 @@ BUDGETS = {"ORACLE_BUDGET", "ELEMENT_BUDGET", "STATE_BUDGET", "SEARCH_MAX_RANK",
            "PMF_MAX_K", "ENTRY_BUDGET", "STEP_BUDGET", "PRODUCT_BUDGET"}
 BUDGET_NAME = re.compile(r"[A-Z0-9_]+_(BUDGET|MAX_RANK|MAX_K)")
 SETTABLE_BUDGET = re.compile(r"cap|budget|limit|\w+_budget")
+# the verdict's rule, which no caller sets
+SETTABLE_VERDICT = re.compile(r"tv_bound|pvalue_floor")
 
 
 def test_the_budgets_are_exactly_nine_module_constants():
@@ -106,7 +108,9 @@ def test_the_budgets_are_exactly_nine_module_constants():
     assert found == BUDGETS
 
 
-def test_no_parameter_and_no_option_sets_a_budget():
+def _settable(pattern):
+    """Every parameter of a ``def`` or lambda, and every CLI option, whose
+    name matches ``pattern``."""
     settable = []
     for filename, tree in _trees().items():
         for node in ast.walk(tree):
@@ -115,11 +119,19 @@ def test_no_parameter_and_no_option_sets_a_budget():
                 params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
                           *filter(None, (args.vararg, args.kwarg))]
                 settable += [(filename, node.lineno, a.arg) for a in params
-                             if SETTABLE_BUDGET.fullmatch(a.arg)]
+                             if pattern.fullmatch(a.arg)]
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for name, command in commands.choices.items():
         settable += [(name, option) for action in command._actions
                      for option in action.option_strings
-                     if SETTABLE_BUDGET.fullmatch(option.lstrip("-").replace("-", "_"))]
-    assert settable == []
+                     if pattern.fullmatch(option.lstrip("-").replace("-", "_"))]
+    return settable
+
+
+def test_no_parameter_and_no_option_sets_a_budget():
+    assert _settable(SETTABLE_BUDGET) == []
+
+
+def test_no_parameter_and_no_option_sets_a_verdict_bound():
+    assert _settable(SETTABLE_VERDICT) == []

@@ -71,6 +71,13 @@ def test_idempotent_ordering_and_zero():
         core.idempotent(3, {4})
 
 
+def test_idempotent_of_repeated_members_is_canonical():
+    # a_i a_i = a_i: a repeated member is one letter
+    assert core.idempotent(3, [2, 2]) == core.generator(3, 2)
+    assert core.idempotent(3, [1, 3, 1, 3]).letters == (3, 1)
+    assert core.tau(core.idempotent(3, [2, 2])) == core.generator(3, 2)
+
+
 def test_power_examples():
     x = core.reduce(2, (1, 2))
     assert core.power(x, 1) == x

@@ -43,6 +43,9 @@ CASES = [
      BudgetExceededError, "budget 200000 at n = 10"),
     ("chain-rows-past-budget", [], lambda: levelchain.transition_rows((0.0005,) * 2000),
      BudgetExceededError, "n = 2000: over 4000000 entries"),
+    ("bins-too-few-to-test", [],
+     lambda: stochastic.chi2_bins(stochastic.exact_hitting_pmf((0.5, 0.5)), 4),
+     ValueError, "4 trials are too few to test"),
     ("sample-too-small-to-test", [],
      lambda: stochastic.verify_distribution(stochastic.simulate(2, (0.5, 0.5), 5, seed=1),
                                             stochastic.exact_hitting_pmf((0.5, 0.5))),

@@ -599,9 +599,22 @@ def test_one_bin_sample_is_refused():
     # 12 pool into two, and one degree of freedom can be tested
     for trials in (6, 4):
         with pytest.raises(ValueError, match=f"{trials} trials are too few to test"):
-            st.verify_distribution(sample_from_pmf(pmf, trials, seed=1), pmf, tv_bound=1.0)
-    verdict = st.verify_distribution(sample_from_pmf(pmf, 12, seed=1), pmf, tv_bound=1.0)
+            st.verify_distribution(sample_from_pmf(pmf, trials, seed=1), pmf)
+    verdict = st.verify_distribution(sample_from_pmf(pmf, 12, seed=1), pmf)
     assert verdict.dof == 1 and not math.isnan(verdict.chi2_pvalue)
+
+
+@pytest.mark.parametrize("p, trials", [((0.5, 0.5), 12), ((0.2, 0.3, 0.5), 2000)])
+def test_chi2_bins_pool_the_support_from_the_right(p, trials):
+    pmf = st.exact_hitting_pmf(p)
+    expected = pmf.with_tail * trials
+    bins = st.chi2_bins(pmf, trials)
+    slices = [part for parts in bins for part in parts]
+    # right to left, tail first: every index once, the leftover last
+    assert [k for part in slices for k in reversed(range(part.start, part.stop))] == list(
+        reversed(range(pmf.k_max + 2)))
+    assert all(expected[parts[0]].sum() >= 5 for parts in bins)
+    assert expected[bins[-1][1]].sum() < 5
 
 
 def test_default_bounds_are_the_rule():
