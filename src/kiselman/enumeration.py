@@ -4,9 +4,15 @@ K_n is built from its canonical words (see ``_reduce_py``): a word is
 canonical iff between any two consecutive occurrences of a letter there is
 a letter below it and a letter above it, and each element has exactly one
 canonical word (Kudryavtseva & Mazorchuk 2009).  So the canonical words are
-the words accepted by a finite automaton: K_n is enumerated by a shortlex
-walk of that automaton, and |K_n| is its number of accepted words, a path
-count.  Neither calls ``multiply`` or the reducer.
+the words accepted by a finite automaton, whose states are the kernel's
+(last letter, blocked set) pairs and whose moves are ``_reduce_py._follow``.
+K_n is enumerated by a shortlex walk of that automaton, and |K_n| is its
+number of accepted words, a path count.  Moves are computed, not stored:
+each state's once per walk or count, and the count keeps a state's moves
+only until its own count is known.  On a 2-CPU VM ``enumerate_elements(6)``
+takes 0.09-0.15 s, most of it building the 83,973 elements, and
+``cardinality_table(15)`` 3.3-3.8 s with a 46 MB peak RSS (32 MB traced by
+``tracemalloc``).  Neither calls ``multiply`` or the reducer.
 
 The oracle computes the congruence generated by the defining relations
 on all words up to a length bound, applying every shortening relation
@@ -32,7 +38,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, product as iter_product
 
-from kiselman._reduce_py import extend
+from kiselman._reduce_py import _follow, extend
 from kiselman.core import (BudgetExceededError, CrosscheckError, Element, Frozen, _set_field,
                            validate_word)
 
@@ -43,8 +49,9 @@ ORACLE_BUDGET = 1 << 20
 # most elements K_n's list may hold: K_6 has 83,973 and K_7 22,263,378
 ELEMENT_BUDGET = 1_000_000
 # most states the canonical-word automaton may have: K_n's has n·2^(n-1) + 1,
-# so K_15's 245,761 states, about 0.9 KB each (a 240 MB peak) and 4 s on a
-# 2-CPU VM, are admitted and K_16's 524,289 refused before any is built
+# so K_15's 245,761 states are admitted (cardinality_table(15) takes 3.3-3.8 s
+# and a 46 MB peak RSS on a 2-CPU VM) and K_16's 524,289 refused before any is
+# built
 STATE_BUDGET = 1 << 18
 
 
@@ -119,66 +126,63 @@ class ElementList(Frozen):
         truncation id -> the positions with that id, ascending, so the
         members stay in shortlex order.  Grouped from ``truncations`` on
         first use of each depth."""
-        grouped = self._classes.get(r)
-        if grouped is None:
-            grouped = self._classes[r] = {}
+        grouped = self._classes[r]
+        if not grouped:  # a depth has at least one class
             for k, t in enumerate(self.truncations[r]):
-                if t in grouped:
-                    grouped[t].append(k)
-                else:
-                    grouped[t] = [k]
+                grouped.setdefault(t, []).append(k)
         return grouped
 
     @cached_property
-    def _classes(self) -> dict[int, dict[int, list[int]]]:
-        return {}
+    def _classes(self) -> list[dict[int, list[int]]]:
+        return [{} for _ in range(self.rank + 1)]
 
 
-def _automaton(n: int) -> tuple[int, int, dict[int, list[tuple[int, int]]]]:
-    """The canonical-word automaton of K_n: |K_n|, which is the number of
-    words it accepts, its start state and, for each state reachable from
-    the start, the moves ``(letter, next state)`` in ascending letter order.
-    Every state accepts.
+class _Moves(dict):
+    """The moves of K_n's canonical-word automaton, computed on first use.
+    A state (v, B) of ``_reduce_py`` is packed into one int,
+    v·2^(n+1) + B, so that it hashes as an int; the start state, of the
+    empty word, is 0.  Each state -> the states its moves reach, in
+    ascending letter order: the move by w reaches (w, _follow(v, B, w)), so
+    its letter is the next state >> (n + 1).  Every state accepts."""
 
-    A state packs two bits per letter u, from bit 2(u - 1) on: the low one
-    is set once a letter below u has occurred since u last occurred, the
-    high one once a letter above u has.  A letter may follow iff both its
-    bits are set.  An absent letter behaves exactly like one with both bits
-    set, so it is stored as such and the start state has every bit set.
+    def __init__(self, n: int):
+        self.n = n
 
-    The automaton has n·2^(n-1) + 1 states.  Raises
-    ``BudgetExceededError``, before any state is built, iff that count
-    passes STATE_BUDGET; n is compared with the budget's bit length first,
-    so 2^(n-1) is never formed for a large n.  A build whose states pass
-    the count raises ``CrosscheckError``, so the count the refusal rests on
-    is checked on every admitted build.
+    def __missing__(self, state: int) -> list[int]:
+        n = self.n
+        v, b = divmod(state, 2 << n)
+        return self.setdefault(state, [w * (2 << n) + _follow(v, b, w)
+                                       for w in range(1, n + 1) if w != v and not b >> w & 1])
+
+
+def _count(n: int) -> int:
+    """|K_n|, the number of words K_n's automaton accepts.
+
+    The automaton has n·2^(n-1) + 1 states: the start and every (v, B)
+    with B a subset of [n] minus v.  Raises ``BudgetExceededError``, before
+    any state is built, iff that count passes STATE_BUDGET; n is compared
+    with the budget's bit length first, so 2^(n-1) is never formed for a
+    large n.  A count that visits more states raises ``CrosscheckError``,
+    so the count the refusal rests on is checked on every admitted count.
     The words are finite in number, so the automaton is acyclic: its path
-    counts are summed children first, on an explicit stack.
+    counts are summed children first, on an explicit stack.  A state is
+    stacked again below its uncounted children, and its moves are kept
+    only until its count is known.
     """
     if n >= STATE_BUDGET.bit_length() or (states := n * 2 ** (n - 1) + 1) > STATE_BUDGET:
         raise BudgetExceededError(f"the automaton of K_{n} has more than {STATE_BUDGET} states")
-    start = (1 << 2 * n) - 1
-    shift = {v: 2 * (v - 1) for v in range(1, n + 1)}
-    # the bits letter v sets in every other letter, and the mask clearing v's own
-    seen = {v: sum((1 if u > v else 2) << shift[u] for u in shift if u != v) for v in shift}
-    clear = {v: start & ~(3 << shift[v]) for v in shift}
-    moves: dict[int, list[tuple[int, int]]] = {}
-    counts: dict[int, int] = {}
-    stack = [start]
+    moves, counts, stack = _Moves(n), {}, [0]
     while stack:
-        s = stack[-1]
-        if s not in moves:
-            out = moves[s] = [
-                (v, (s | seen[v]) & clear[v]) for v in shift if s >> shift[v] & 3 == 3
-            ]
-            if len(moves) > states:
-                raise CrosscheckError(f"the automaton of K_{n} has more than {states} states")
-            stack += [t for _, t in out if t not in moves]
-            continue
-        stack.pop()
+        s = stack.pop()
         if s not in counts:  # a state may be stacked more than once
-            counts[s] = 1 + sum(counts[t] for _, t in moves[s])
-    return counts[start], start, moves
+            pending = [t for t in moves[s] if t not in counts]
+            if pending:
+                stack += [s, *pending]
+            else:
+                counts[s] = 1 + sum(map(counts.__getitem__, moves.pop(s)))
+            if len(moves) + len(counts) > states:
+                raise CrosscheckError(f"the automaton of K_{n} has more than {states} states")
+    return counts[0]
 
 
 def enumerate_elements(n: int) -> ElementList:
@@ -192,14 +196,13 @@ def enumerate_elements(n: int) -> ElementList:
     """
     validate_word(n, ())
     for m in range(2, n + 1):
-        count, start, moves = _automaton(m)
-        if count > ELEMENT_BUDGET:
+        if (count := _count(m)) > ELEMENT_BUDGET:
             raise BudgetExceededError(
                 f"K_{n} has more than {ELEMENT_BUDGET} elements: K_{m} has {count}")
-    words = [()]
-    layer = [((), start)]
+    moves, words, layer = _Moves(n), [()], [((), 0)]
+    ones = [(v,) for v in range(n + 1)]  # each one-letter word, made once
     while layer:
-        layer = [(w + (v,), t) for w, s in layer for v, t in moves[s]]
+        layer = [(w + ones[t >> n + 1], t) for w, s in layer for t in moves[s]]
         words += [w for w, _ in layer]
     return ElementList(rank=n, elements=tuple([Element(n, w) for w in words]))
 
@@ -361,7 +364,7 @@ def cardinality_table(max_rank: int = 4) -> list[tuple[int, int]]:
     refusal comes at once, before any smaller rank is counted.  Consecutive
     ratios must be strictly increasing."""
     validate_word(max_rank, ())
-    table = [(n, _automaton(n)[0]) for n in range(max_rank, 1, -1)][::-1]
+    table = [(n, _count(n)) for n in range(max_rank, 1, -1)][::-1]
     ratios = [b / a for (_, a), (_, b) in zip(table, table[1:])]
     if any(r2 <= r1 for r1, r2 in zip(ratios, ratios[1:])):
         raise CrosscheckError(f"growth ratios not increasing: {ratios}")

@@ -5,6 +5,7 @@ import pytest
 
 from kiselman import core, enumeration, morphisms, selftest, tau
 from conftest import KNOWN_SIZES
+from reference_automaton import automaton, state_rule_image
 
 
 def test_rank2_enumeration(universe2):
@@ -43,13 +44,24 @@ def test_large_rank_is_refused_early():
 
 
 def test_automaton_state_count():
-    # K_n's automaton has n·2^(n-1) + 1 states, the count STATE_BUDGET is
-    # priced on: K_15's 245,761 are admitted and K_16's 524,289 refused
+    # the bit-packed reference automaton against the state rule, for n <= 12
+    # (24,577 states at n = 12): its states map one to one onto the states
+    # (v, B), the map commutes with the moves, and its path counts are
+    # cardinality_table's.  K_n's automaton has n·2^(n-1) + 1 states, the count
+    # STATE_BUDGET is priced on: K_15's 245,761 are admitted and K_16's 524,289
+    # refused
+    sizes = dict(enumeration.cardinality_table(max_rank=12))
     for n in range(2, 13):
-        count, _, moves = enumeration._automaton(n)
+        count, start, moves = automaton(n)
         assert len(moves) == n * 2 ** (n - 1) + 1
-        if n in KNOWN_SIZES:
-            assert count == KNOWN_SIZES[n]
+        assert count == sizes[n] == KNOWN_SIZES.get(n, count)
+        image = {s: state_rule_image(n, s) for s in moves}
+        assert len(set(image.values())) == len(image) and image[start] == 0
+        # the images hold the rule's start and are closed under its moves, so
+        # they are all of its states
+        rule = enumeration._Moves(n)
+        for s, out in moves.items():
+            assert rule[image[s]] == [image[t] for _, t in out]
     assert 15 * 2**14 + 1 <= enumeration.STATE_BUDGET < 16 * 2**15 + 1
 
 

@@ -26,8 +26,9 @@ def test_oracle_calls_neither_the_reducer_nor_the_automaton(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle must not call this")
 
-    for module, name in ((core, "reduce"), (core, "multiply"),
-                         (_reduce_py, "reduce_word"), (enumeration, "_automaton")):
+    for module, name in ((core, "reduce"), (core, "multiply"), (_reduce_py, "reduce_word"),
+                         (_reduce_py, "_follow"), (enumeration, "_follow"),
+                         (enumeration, "_count")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(AssertionError):  # the patches are seen by the module's own calls
         enumeration.enumerate_elements(3)

@@ -4,7 +4,7 @@ chain's law that its two checks must catch."""
 
 import pytest
 
-from kiselman import core, enumeration, level_metric, levelchain, selftest
+from kiselman import _reduce_py, core, enumeration, level_metric, levelchain, selftest
 
 
 @pytest.mark.parametrize(
@@ -63,6 +63,21 @@ def test_fault_only_on_k4_is_caught(name, fault, check, monkeypatch):
     assert check() is False
 
 
+def test_state_rule_broken_in_the_walk_and_the_kernel_alike_is_caught(monkeypatch):
+    # a rule that never blocks a_1 lets 1 2 1 into the walk and into the
+    # kernel's products alike, so the walk still equals the BFS, and only the
+    # definition of a canonical word catches it
+    follow = _reduce_py._follow
+
+    def never_blocking_1(v, b, j):
+        return follow(v, b, j) & ~2
+
+    for module in (_reduce_py, enumeration):
+        monkeypatch.setattr(module, "_follow", never_blocking_1)
+    assert enumeration.enumerate_elements(2).elements == selftest.bfs_elements(2)
+    assert selftest.check_enumeration_matches_bfs() is False
+
+
 def _moved_entry_table(universe):
     """The truncation table with the last element's depth-2 entry moved
     into e's class."""
@@ -99,9 +114,13 @@ def test_truncation_entry_moved_to_another_class_on_k4_is_caught(fault, monkeypa
 @pytest.mark.parametrize("scale", [0.0, 1.001], ids=["zero", "0.1%-off"])
 def test_wrong_tail_mean_is_caught(scale, monkeypatch):
     # at k_max = 5 and 40 the tail is most of E[T], so 0.1% of it is far past the 1e-9 tolerance
-    tail_mean = levelchain.tail_mean
-    monkeypatch.setattr(levelchain, "tail_mean",
-                        lambda p, k_max, stage: scale * tail_mean(p, k_max, stage))
+    tail = levelchain._tail
+
+    def scaled(p, k_max, stage):
+        mass, mean = tail(p, k_max, stage)
+        return mass, scale * mean
+
+    monkeypatch.setattr(levelchain, "_tail", scaled)
     assert selftest.check_pmf_mean() is False
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,10 +128,40 @@ def test_pmf_default_truncation_is_the_first_k_with_enough_mass():
     assert pmf.k_max == 20714
     cum = pmf.cdf()
     assert cum[-1] >= 1.0 - st.PMF_TAIL > cum[-2]
+    # the first K whose tail, in closed form for two geometrics, is at most
+    # PMF_TAIL; 1 - mass stopped at 690,739, whose tail is 1.0008e-9
     p = [1.0 - 3e-5, 3e-5]
     pmf = st.exact_hitting_pmf(p)
-    assert pmf.k_max == 690739
+    assert pmf.k_max == 690767
     assert pmf.mean() == pytest.approx(sum(1.0 / v for v in p), rel=1e-9)
+
+
+def _exact_tail(p, k_max):
+    """P(T > K) as a Fraction, from an exact pass over the binary rationals
+    of the float p: with p_i = a_i / 2^E, stage k scaled by 2^(E k) is an
+    integer vector."""
+    q = [Fraction(x) for x in p]
+    e = max(x.denominator for x in q).bit_length() - 1
+    a = [x.numerator * (1 << e) // x.denominator for x in q]
+    one, n = 1 << e, len(p)
+    stage = [1] + [0] * n
+    head = stage[n]  # sum_k P(T = k) scaled by 2^(E K)
+    for _ in range(k_max):
+        for i in range(n, 0, -1):
+            stage[i] = (one - a[i - 1]) * stage[i] + a[i - 1] * stage[i - 1]
+        stage[0] = 0
+        head = head * one + stage[n]
+    return 1 - Fraction(head, one**k_max)
+
+
+@pytest.mark.parametrize("p", [(0.3, 0.7), (0.2, 0.3, 0.5), (0.1, 0.1, 0.8), (0.25,) * 4,
+                               (0.1, 0.15, 0.2, 0.25, 0.3), (0.02, 0.92, 0.02, 0.02, 0.02)])
+def test_pmf_tail_mass_matches_an_exact_pass(p):
+    # 1 - mass, which cancels, was off by 4e-8 to 2.6e-6 relative here
+    probs, tail_mass, _ = levelchain.hitting_pmf(p)
+    exact = _exact_tail(p, len(probs) - 1)
+    assert exact <= st.PMF_TAIL
+    assert abs(Fraction(tail_mass) - exact) <= Fraction(1, 10**12) * exact
 
 
 def test_pmf_truncation_must_be_nonnegative():
