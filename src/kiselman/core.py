@@ -18,7 +18,7 @@ refusal (exit 3).  Any other bad input raises a plain ``ValueError``.
 
 from __future__ import annotations
 
-from kiselman._reduce_py import extend, reduce_word
+from kiselman._reduce_py import reduce_word
 
 _set_field = object.__setattr__
 
@@ -167,7 +167,7 @@ def zero(rank: int) -> Element:
 def multiply(x: Element, y: Element) -> Element:
     if x.rank != y.rank:
         raise RankMismatchError(f"rank {x.rank} vs {y.rank}")
-    return Element(x.rank, extend(x.letters, y.letters))
+    return Element(x.rank, reduce_word((*x.letters, *y.letters)))
 
 
 def content(x: Element) -> frozenset[int]:
@@ -227,7 +227,7 @@ class RightCayley:
     they are reached, e first.  ``elements[x]`` is element x, ``ids`` maps
     its canonical word to x, and ``moves[x][i]`` is the id of x·a_i, or 0
     (the id of e, which no x·a_i is) until :meth:`add` multiplies the pair,
-    which it does once.
+    which it does once, by one fold of x's canonical word and i.
 
     A sparse walk adds only the pairs it visits.  Adding every pair of each
     element in id order is a breadth-first search, so the ids are then in
@@ -235,17 +235,17 @@ class RightCayley:
 
     def __init__(self, n: int):
         self.n = n
-        self.generators = [generator(n, i) for i in range(1, n + 1)]
         self.elements = [unit(n)]
         self.ids = {(): 0}
         self.moves = [[0] * (n + 1)]
 
     def add(self, x: int, i: int) -> int:
         """Multiply element x by a_i, number the product if it is new, record
-        the move and return the product's id."""
-        after = multiply(self.elements[x], self.generators[i - 1])
-        y = self.moves[x][i] = self.ids.setdefault(after.letters, len(self.elements))
+        the move and return the product's id.  The product's ``Element`` is
+        built only when it is new."""
+        word = reduce_word((*self.elements[x].letters, i))
+        y = self.moves[x][i] = self.ids.setdefault(word, len(self.elements))
         if y == len(self.elements):
-            self.elements.append(after)
+            self.elements.append(Element(self.n, word))
             self.moves.append([0] * (self.n + 1))
         return y

@@ -38,7 +38,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, product as iter_product
 
-from kiselman._reduce_py import _follow, extend
+from kiselman._reduce_py import _follow, reduce_word
 from kiselman.core import (BudgetExceededError, CrosscheckError, Element, Frozen, _set_field,
                            validate_word)
 
@@ -96,10 +96,10 @@ class ElementList(Frozen):
         element p, its prefix, followed by one letter a_v.  Deleting [i] is
         a homomorphism that sends a_v to e when v <= i and fixes it
         otherwise, so row i at k is row i at p when v <= i, and otherwise
-        the position of elements[row i at p] * a_v: one single-letter
-        ``extend``, made once per (image, v), since the product does not
-        depend on the depth.  On a 2-CPU VM the table takes 1.7-3.5 ms at
-        n = 5 and 0.15-0.26 s at n = 6.
+        the position of elements[row i at p] * a_v: one fold of that
+        element's canonical word and v, made once per (image, v), since the
+        product does not depend on the depth.  On a 2-CPU VM the table takes
+        1.7-3.5 ms at n = 5 and 0.15-0.26 s at n = 6.
 
         d(x, y) <= i iff x and y have the same depth-i entry.
         """
@@ -116,7 +116,7 @@ class ElementList(Frozen):
                     key = (image, v)
                     image = products.get(key)
                     if image is None:
-                        image = products[key] = position[extend(words[key[0]], (v,))]
+                        image = products[key] = position[reduce_word((*words[key[0]], v))]
                 row.append(image)
             rows.append(tuple(row))
         return tuple(rows)
@@ -125,7 +125,9 @@ class ElementList(Frozen):
         """The balls of radius r, for 0 <= r <= rank: each depth-r
         truncation id -> the positions with that id, ascending, so the
         members stay in shortlex order.  Grouped from ``truncations`` on
-        first use of each depth."""
+        first use of each depth.  Raises ``ValueError`` for any other r."""
+        if not 0 <= r <= self.rank:
+            raise ValueError(f"depth must lie in 0..{self.rank}, got {r}")
         grouped = self._classes[r]
         if not grouped:  # a depth has at least one class
             for k, t in enumerate(self.truncations[r]):
@@ -357,7 +359,7 @@ def congruence_oracle(n: int, max_len: int) -> CongruencePartition:
     )
 
 
-def cardinality_table(max_rank: int = 4) -> list[tuple[int, int]]:
+def cardinality_table(max_rank: int) -> list[tuple[int, int]]:
     """[(n, |K_n|)] for n = 2..max_rank, counted without building any
     element; raises ``BudgetExceededError`` if some automaton has more than
     STATE_BUDGET states.  The ranks are counted from the largest down, so a

@@ -19,8 +19,9 @@ search by definition that runs out although a theorem says it cannot,
 raises ``CrosscheckError``.
 
 The searches by definition (``level_by_definition``, ``m_function``,
-``level_sets`` and ``distance``) take time that grows as n^3 and with the
-square of the word length, so each refuses, with ``BudgetExceededError``
+``level_sets`` and ``distance``) take time that grows with n and the word
+length: the absorption searches as n^2 (|x| + 1)(n + |x|), the deletion
+searches as (n + 2|x|)^2.  So each refuses, with ``BudgetExceededError``
 and before it builds anything of size n, a rank past SEARCH_MAX_RANK or an
 estimated work past SEARCH_BUDGET.
 """
@@ -56,16 +57,18 @@ def _require_searchable(n: int, length: int, absorbs: bool = False) -> None:
     An absorption step (``absorbs``) appends the i letters of e_[i] to x,
     and each may cascade through the n + |x| letters of the product, so
     the steps i <= n take about n^2 (|x| + 1)(n + |x|) units.  A deletion
-    step builds a word of up to n letters and reduces one of up to |x|,
-    about n + |x|^2, and a unit of it costs about 4 of the absorption's,
-    so the steps take 4 n (n + |x|^2)."""
+    step builds a word of up to n letters, filters x and reduces what is
+    left, whose cascades grow as |x|^2 / n, so the steps take about
+    12 (n + 2|x|)^2 units: fitted on elements of ranks 64-512 and up to
+    16 n letters, 12 n^2 + 48 n|x| + 48 |x|^2 units at 4-5 ns each, and at
+    the edge, n + 2|x| = 5,000, they take 1-2 s on a 2-CPU VM."""
     if n > SEARCH_MAX_RANK:
         raise BudgetExceededError(
             f"a search by definition at rank {n} exceeds budget {SEARCH_MAX_RANK}")
     if absorbs:
         work = n * n * (length + 1) * (n + length)
     else:
-        work = 4 * n * (n + length * length)
+        work = 12 * (n + 2 * length) ** 2
     if work > SEARCH_BUDGET:
         raise BudgetExceededError(f"a search by definition at rank {n} on {length} letters "
                                   f"exceeds work budget {SEARCH_BUDGET}")

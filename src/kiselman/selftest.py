@@ -74,7 +74,7 @@ def bfs_elements(n):
     """K_n by breadth-first search of the right Cayley graph from the unit,
     in shortlex order: the reference the automaton walk is checked against.
     It expands ``core.RightCayley`` in id order, which is breadth-first
-    order, so it reaches K_n through ``multiply`` alone."""
+    order, so it reaches K_n through the kernel's products alone."""
     table = core.RightCayley(n)
     # the elements list is the search's queue: it grows as elements are reached
     for x, _ in enumerate(table.elements):

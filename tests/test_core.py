@@ -97,11 +97,14 @@ def test_power_stops_once_it_is_idempotent(monkeypatch):
 
 
 def test_right_cayley_multiplies_each_pair_once(monkeypatch):
-    calls = []
-    multiply = core.multiply
-    monkeypatch.setattr(core, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    # each pair is one fold of the kernel, and each element one Element
+    calls, built = [], []
+    reduce_word, init = core.reduce_word, core.Element.__init__
+    monkeypatch.setattr(core, "reduce_word", lambda w: calls.append(1) or reduce_word(w))
+    monkeypatch.setattr(core.Element, "__init__", lambda *a: built.append(1) or init(*a))
     table = core.RightCayley(3)
     assert table.elements == [core.unit(3)] and table.moves == [[0] * 4]
+    del calls[:], built[:]
     x = 0
     while x < len(table.elements):
         for i in (1, 2, 3):
@@ -110,8 +113,9 @@ def test_right_cayley_multiplies_each_pair_once(monkeypatch):
             assert table.moves[x][i] == y != 0  # no x·a_i is e
         x += 1
     assert len(calls) == 18 * 3
+    assert len(built) == 17  # e was built with the table
     assert len(table.elements) == 18 and len(set(table.elements)) == 18
-    assert all(table.elements[table.moves[x][i]] == multiply(y, core.generator(3, i))
+    assert all(table.elements[table.moves[x][i]] == core.multiply(y, core.generator(3, i))
                for x, y in enumerate(table.elements) for i in (1, 2, 3))
     assert table.ids == {x.letters: k for k, x in enumerate(table.elements)}
     assert [len(x.letters) for x in table.elements] == sorted(len(x.letters) for x in table.elements)

@@ -160,6 +160,14 @@ def test_cardinality_table_below_rank_2_is_rejected():
         enumeration.enumerate_elements(1)
 
 
+def test_classes_refuse_a_depth_outside_0_to_rank(universe3):
+    # a negative depth would index the list of depths from its end
+    for r in (-1, 4):
+        with pytest.raises(ValueError, match=f"depth must lie in 0..3, got {r}"):
+            universe3.classes(r)
+    assert sorted(universe3.classes(3)) == [0] and len(universe3.classes(0)) == len(universe3)
+
+
 def test_truncation_table_calls_no_delete(monkeypatch):
     def refuse(*args):
         raise AssertionError("the truncation table called delete")

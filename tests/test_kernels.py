@@ -1,6 +1,7 @@
 """The pure-Python append fold agrees with the restart reducer it is checked
-against (``reference_reduce``) on every word, at ranks 2-8 and 200-1000, and
-``reduce --n 1000`` has no quadratic cliff."""
+against (``reference_reduce``) on every word, at ranks 2-8 and 200-1000,
+every product reaches it through ``reduce_word`` alone, and ``reduce --n
+1000`` has no quadratic cliff."""
 
 import os
 import random
@@ -9,7 +10,8 @@ import sys
 
 import pytest
 
-from kiselman._reduce_py import extend, reduce_word as reduce_py
+from kiselman import _reduce_py, core, enumeration
+from kiselman._reduce_py import reduce_word as reduce_py
 from reference_reduce import reduce_word as reduce_reference
 
 
@@ -25,13 +27,59 @@ def test_fold_matches_reference(count, lo, hi):
         assert reduce_py(w) == reduce_reference(w), w
 
 
-def test_extend_matches_reference():
+def test_canonical_word_then_letters_matches_reference():
+    # a product's fold: a canonical word followed by arbitrary letters
     rng = random.Random(7)
     for _ in range(5_000):
         n = rng.randint(2, 8)
         x = reduce_reference(_random_word(rng, n, 0, 40))
         y = _random_word(rng, n, 0, 40)
-        assert extend(x, y) == reduce_reference(x + y), (x, y)
+        assert reduce_py((*x, *y)) == reduce_reference(x + y), (x, y)
+
+
+def test_products_reach_the_kernel_only_through_reduce_word(monkeypatch):
+    assert [name for name, obj in vars(_reduce_py).items()
+            if callable(obj) and not name.startswith("_")] == ["reduce_word"]
+    reduce_word, fold = _reduce_py.reduce_word, _reduce_py._fold
+    calls, open_calls = [], []
+
+    def wrapped(letters):
+        calls.append(tuple(letters))
+        open_calls.append(1)
+        try:
+            return reduce_word(letters)
+        finally:
+            open_calls.pop()
+
+    def guarded(letters):
+        assert open_calls, "the fold was reached outside reduce_word"
+        return fold(letters)
+
+    # every namespace that binds the kernel, however it imported it
+    bound = [module for name, module in sorted(sys.modules.items())
+             if name.startswith("kiselman") and getattr(module, "reduce_word", None) is reduce_word]
+    assert {core, enumeration} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "reduce_word", wrapped)
+    monkeypatch.setattr(_reduce_py, "_fold", guarded)
+
+    x, y = core.reduce(4, (3, 1, 4, 2)), core.reduce(4, (2, 4, 1))
+    calls.clear()
+    assert core.multiply(x, y).letters == reduce_reference((3, 1, 4, 2, 2, 4, 1))
+    assert calls == [(3, 1, 4, 2, 2, 4, 1)]
+
+    table = core.RightCayley(4)
+    calls.clear()
+    y = table.add(0, 2)
+    assert table.elements[table.add(y, 3)].letters == (2, 3)
+    assert calls == [(2,), (2, 3)]
+
+    universe = enumeration.enumerate_elements(4)
+    calls.clear()
+    universe.truncations
+    # one fold per (image, letter) product, each a canonical word and one letter
+    assert calls and all(w[:-1] in universe.position for w in calls)
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("width, count, longest", [(8, 100, 300), (30, 50, 200), (None, 50, 300)],

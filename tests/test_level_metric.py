@@ -130,19 +130,27 @@ def test_searches_by_definition_refuse_ranks_past_the_budget():
             search(x)
 
 
+def test_distance_to_the_zero_at_the_top_rank_is_answered():
+    top = lm.SEARCH_MAX_RANK
+    assert lm.distance(core.generator(top, 1), core.zero(top)) == top
+
+
 def test_searches_by_definition_refuse_long_words_past_the_work_budget():
     top = lm.SEARCH_MAX_RANK
     # the edges: the absorption searches admit one letter at the top rank and
-    # 239 at rank 64, the deletion searches 1,082 at rank 64
+    # 239 at rank 64, the deletion searches 2,468 at rank 64 and 2,244 at the
+    # top rank
     lm._require_searchable(top, 1, absorbs=True)
     lm._require_searchable(64, 239, absorbs=True)
-    lm._require_searchable(64, 1082)
+    lm._require_searchable(64, 2468)
+    lm._require_searchable(top, 2244)
     # the budget reads the word's length alone, before any work, so a word of
     # repeated letters stands for a canonical word of that length
     for n, length, searches in [
         (top, 2, (lm.m_function, lm.level_sets)),
         (64, 240, (lm.m_function, lm.level_sets)),
-        (64, 1083, (lm.level_by_definition, lambda x: lm.distance(x, core.unit(64)))),
+        (64, 2469, (lm.level_by_definition, lambda x: lm.distance(x, core.unit(64)))),
+        (top, 2245, (lm.level_by_definition, lambda x: lm.distance(x, core.unit(top)))),
     ]:
         x = core.Element(n, (1,) * length)
         for search in searches:
