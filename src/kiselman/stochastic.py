@@ -8,7 +8,13 @@ that either stays put or steps down by one, and the absorption time is a
 sum of n independent geometric variables with success probabilities p_i.
 That exact law is computed once, without numpy, in :mod:`kiselman.levelchain`;
 this module wraps its results in arrays, and :func:`chain_hitting_cdf`
-checks them independently by powers of the transition matrix.
+checks them independently by powers of the transition matrix, taken a
+block at a time.
+
+:func:`simulate` runs no Python loop per trial or per step: its trials
+are lanes of numpy arrays, SEED_CHUNK at a time, seeded, drawn and
+scanned together, and in full mode the tracked lanes are walked through
+the right Cayley table one column of letters at a time.
 
 :func:`verify_distribution` alone decides a simulation's verdict, by one
 rule of the pmf and the trial count with no settable value: the TV bound of
@@ -48,8 +54,9 @@ STEP_BUDGET = 1_000_000  # most steps one simulated trial may take
 PRODUCT_BUDGET = 10_000  # most letters partial_products reads to certify a sequence stable
 TV_FAILURE_PROB = 1e-3  # chance that an exact sampler exceeds tv_tolerance
 PVALUE_FLOOR = 1e-3  # a verdict fails at a chi-square p-value this low or lower
-SEED_CHUNK = 1024  # trials whose streams one vectorised seeding pass computes
+SEED_CHUNK = 4096  # trials whose streams one vectorised seeding pass computes; divides 2^32
 PASS_DRAWS = 1 << 14  # most draws one pass of the lane kernel computes; >= SEED_CHUNK
+POWER_ENTRIES = 1 << 16  # most matrix entries chain_hitting_cdf keeps in its block of powers
 
 # numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
 _MASK32 = 0xFFFFFFFF
@@ -158,19 +165,35 @@ def transition_matrix(p) -> TransitionMatrix:
 def chain_hitting_cdf(p, k_max: int) -> np.ndarray:
     """P(T <= k) for k = 0..k_max via powers of the level chain.  A
     truncation past the pmf's, :func:`levelchain.max_k`, raises
-    ``BudgetExceededError``."""
+    ``BudgetExceededError``.
+
+    P(T <= k) is entry 0 of the chain's law after k steps, so a block of B
+    values starting at step k is one product of that law with column 0 of
+    P^0, ..., P^(B-1), and the next block starts from the law times P^B.
+    B is about sqrt(k_max + 1), so that about 2 sqrt(k_max + 1) products
+    replace one per step, and the B + 1 powers hold at most POWER_ENTRIES
+    entries.
+    """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     markov = transition_matrix(p)
     budget = levelchain.max_k(markov.n)
     if k_max > budget:
         raise BudgetExceededError(f"chain truncation {k_max} exceeds budget {budget}")
-    dist = markov.initial.copy()
+    states = markov.n + 1
+    block = max(1, min(math.isqrt(k_max + 1), POWER_ENTRIES // states**2 - 1))
+    powers = np.empty((block + 1, states, states))
+    powers[0], powers[1] = np.eye(states), markov.matrix
+    for b in range(2, block + 1):
+        # numpy's own loop: the first BLAS matrix product maps a work buffer
+        np.einsum("ij,jk->ik", powers[b - 1], markov.matrix, out=powers[b])
+    absorbed = powers[:block, :, 0].copy()  # row b: P(X_b = 0) from each state
+    dist = markov.initial
     cdf = np.empty(k_max + 1)
-    cdf[0] = dist[0]
-    for k in range(1, k_max + 1):
-        dist = dist @ markov.matrix
-        cdf[k] = dist[0]
+    for k in range(0, k_max + 1, block):
+        stop = min(k + block, k_max + 1)
+        cdf[k:stop] = absorbed[:stop - k] @ dist
+        dist = dist @ powers[block]
     return cdf
 
 
@@ -414,20 +437,22 @@ def _lane_draws(streams, size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]
     M^k = 1 + (M - 1)·G_k, that is s + G_k·d with d = (M - 1)·s + inc, so one
     table of G_k and one 128-bit product per draw give the whole block.  The
     state's XSL-RR output u becomes (u >> 11)·2^-53, as in numpy's
-    ``Generator.random``.
+    ``Generator.random``.  The block is computed as (size, lanes), so that
+    numpy's inner loops run along the lanes, and returned transposed: in
+    the first passes of a chunk, thousands of lanes draw a few doubles each.
     """
     s_hi, s_lo, inc_hi, inc_lo = streams
     d_hi, d_lo = _add128(*_mul128(s_hi, s_lo, *_MULT_LESS_ONE), inc_hi, inc_lo)
     g_hi, g_lo = _jump_table()
-    x_hi, x_lo = _mul128(d_hi[:, None], d_lo[:, None], g_hi[:size], g_lo[:size])
-    x_hi, x_lo = _add128(s_hi[:, None], s_lo[:, None], x_hi, x_lo)
+    x_hi, x_lo = _mul128(g_hi[:size, None], g_lo[:size, None], d_hi, d_lo)
+    x_hi, x_lo = _add128(s_hi, s_lo, x_hi, x_lo)
     # XSL-RR: (high ^ low) rotated right by the top 6 bits of the state
     rotation = x_hi >> np.uint64(58)
     out = x_hi ^ x_lo
     out = out >> rotation | out << (-rotation & np.uint64(63))
     draws = (out >> np.uint64(11)).astype(np.float64)
     draws *= 2.0**-53
-    return draws, (x_hi[:, -1].copy(), x_lo[:, -1].copy(), inc_hi, inc_lo)
+    return draws.T, (x_hi[-1].copy(), x_lo[-1].copy(), inc_hi, inc_lo)
 
 
 def _bounds(p: np.ndarray) -> np.ndarray:
@@ -481,8 +506,11 @@ def simulate(
     ``mode="full"`` also walks the letters of tracked trials (all for
     n <= 3, every 100th above) through a right Cayley table filled over the
     elements they visit, for this call only (:class:`_RightCayley`, the
-    table of ``core.RightCayley`` with levels).  The table multiplies each
-    visited pair (x, i) once, and checks the level law
+    table of ``core.RightCayley`` with levels).  After each pass of the
+    scan, the tracked lanes still walking go over that pass's letters
+    together, one column at a time (:meth:`_RightCayley.walk`), and each
+    stops at its first element of level 0.  The table multiplies
+    each visited pair (x, i) once, and checks the level law
     L(x·a_i) = g(L(x), i) on it once, L the level by definition; with L(e) = n,
     by induction the product's level then equals the chain's level at every
     step of every walk.  Each walk must first reach an element of level 0
@@ -509,12 +537,12 @@ def simulate(
         state, inc = (int(streams[k][0]) << 64 | int(streams[k + 1][0]) for k in (0, 2))
         if rng.bit_generator.state["state"] != {"state": state, "inc": inc}:
             raise CrosscheckError(f"stream of trial {lo} differs from default_rng([{seed}, {lo}])")
-        tracked = range(-lo % stride, hi - lo, stride) if mode == "full" else range(0)
-        chunk_times, rows = _scan(streams, n, bounds, first, tracked, stays, rng, seed, lo)
+        tracked = np.arange(-lo % stride, hi - lo, stride) if mode == "full" else np.arange(0)
+        chunk_times, walked = _scan(streams, n, bounds, first, tracked, right_cayley, stays,
+                                    rng, seed, lo)
         times.append(chunk_times)
-        for lane, letters in rows.items():
-            crosscheck_trials += 1
-            crosscheck_failures += _walk(right_cayley, letters, int(chunk_times[lane]))
+        crosscheck_trials += tracked.size
+        crosscheck_failures += int(np.count_nonzero(walked != chunk_times[tracked]))
     crosscheck_failures += right_cayley.failures
 
     times = np.concatenate(times)
@@ -547,17 +575,22 @@ def simulate(
     return report
 
 
-def _scan(streams, n, bounds, size, tracked, stays, rng, seed, lo):
+def _scan(streams, n, bounds, size, tracked, table, stays, rng, seed, lo):
     """Hitting times of the lanes of ``streams``, trials lo, lo + 1, ...
 
-    Adds each level's stay count to ``stays`` and returns the times with
-    the letters each tracked lane drew, up to its hitting time at least.
-    Lane 0's first block must equal ``rng.random``'s.
+    Adds each level's stay count to ``stays`` and returns the times with,
+    for each lane of ``tracked``, the step at which its walk through
+    ``table`` first reached level 0 (0 if it never did).  Each pass walks
+    the tracked lanes still walking over that pass's letters.  Lane 0's
+    first block must equal ``rng.random``'s.
     """
     times = np.zeros(len(streams[0]), np.int64)
     active = np.arange(len(times))
     level = np.full(len(times), n)
-    rows = {lane: [] for lane in tracked}
+    walking = np.zeros(len(times), bool)
+    walking[tracked] = True
+    element = np.zeros(len(times), np.intp)  # each walking lane's element, e first
+    walked = np.zeros(len(times), np.int64)
     edges = [0.0, *bounds.tolist()]
     steps = 0
     while active.size:
@@ -570,10 +603,14 @@ def _scan(streams, n, bounds, size, tracked, stays, rng, seed, lo):
         draws, streams = _lane_draws(streams, size)
         if steps == 0 and not np.array_equal(draws[0], rng.random(size)):
             raise CrosscheckError(f"stream of trial {lo} differs from default_rng([{seed}, {lo}])")
-        if rows:
-            chosen = np.flatnonzero(np.isin(active, tracked))
-            for lane, row in zip(active[chosen].tolist(), _letters(bounds, draws[chosen]).tolist()):
-                rows[lane] += row
+        rows = np.flatnonzero(walking[active])
+        if rows.size:
+            lanes = active[rows]
+            block = draws if rows.size == active.size else draws[rows]
+            element[lanes], reached = table.walk(element[lanes], _letters(bounds, block))
+            lanes = lanes[reached > 0]
+            walked[lanes] = steps + reached[reached > 0]
+            walking[lanes] = False
         # pos: each lane's last step in this block so far, -1 before the first
         pos = np.full(active.size, -1)
         columns = np.arange(size)
@@ -599,7 +636,7 @@ def _scan(streams, n, bounds, size, tracked, stays, rng, seed, lo):
         streams = tuple(column[keep] for column in streams)
         steps += size
         size *= 2
-    return times, rows
+    return times, walked[tracked]
 
 
 class _RightCayley(RightCayley):
@@ -607,31 +644,54 @@ class _RightCayley(RightCayley):
     walks visit, with the level bookkeeping of full mode: ``levels[x]`` is
     the level by definition of element x, taken once per new element, and
     ``failures`` counts the pairs where L(x·a_i) != g(L(x), i), checked
-    once per pair as :meth:`add` adds it, taking L(e) = n."""
+    once per pair as :meth:`add` adds it, taking L(e) = n.
+
+    ``levels`` and ``move_array``, a copy of ``moves``, are numpy arrays for
+    :meth:`walk`, with rows to spare: their lengths double when a new
+    element needs a row."""
 
     def __init__(self, n: int):
         super().__init__(n)
-        self.levels = [n]
+        self.levels = np.array([n])
+        self.move_array = np.zeros((1, n + 1), np.intp)
         self.failures = 0
 
     def add(self, x: int, i: int) -> int:
+        count = len(self.elements)
         y = super().add(x, i)
-        if y == len(self.levels):  # a new element: ids are numbered in order
-            self.levels.append(level_by_definition(self.elements[y]))
-        self.failures += self.levels[y] != g(self.levels[x], i)
+        if y == count:  # a new element: ids are numbered in order
+            if y == len(self.levels):
+                self.levels = np.concatenate([self.levels, np.zeros_like(self.levels)])
+                self.move_array = np.concatenate([self.move_array, np.zeros_like(self.move_array)])
+            self.levels[y] = level_by_definition(self.elements[y])
+        self.move_array[x, i] = y
+        self.failures += int(self.levels[y]) != g(int(self.levels[x]), i)
         return y
 
-
-def _walk(table: _RightCayley, letters: list[int], hitting_time: int) -> int:
-    """1 unless the walk of ``letters`` through ``table`` first reaches an
-    element of level 0 at step ``hitting_time``, else 0."""
-    moves, levels = table.moves, table.levels
-    x = 0
-    for t, i in enumerate(letters, start=1):
-        x = moves[x][i] or table.add(x, i)
-        if levels[x] == 0:
-            return int(t != hitting_time)
-    return 1
+    def walk(self, x: np.ndarray, letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Walk lanes from the elements ``x`` along their rows of
+        ``letters``, one column at a time, adding each pair no walk has
+        visited before; a lane stops at its first element of level 0.
+        Returns the elements reached and, per lane, the number of letters up
+        to the one that reached level 0, or 0 if none did."""
+        x = x.copy()
+        reached = np.zeros(len(x), np.int64)
+        live = np.arange(len(x))
+        for c, column in enumerate(letters.T, start=1):
+            column = column[live]
+            y = self.move_array[x[live], column]
+            if not y.all():  # no x·a_i is e, so id 0 marks a pair not yet added
+                for pair in set(zip(x[live[y == 0]].tolist(), column[y == 0].tolist())):
+                    self.add(*pair)
+                y = self.move_array[x[live], column]
+            x[live] = y
+            zero = self.levels[y] == 0
+            if zero.any():
+                reached[live[zero]] = c
+                live = live[~zero]
+                if not live.size:
+                    break
+        return x, reached
 
 
 @dataclass(frozen=True)

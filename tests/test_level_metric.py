@@ -139,23 +139,40 @@ def test_searches_by_definition_refuse_long_words_past_the_work_budget():
     top = lm.SEARCH_MAX_RANK
     # the edges: the absorption searches admit one letter at the top rank and
     # 239 at rank 64, the deletion searches 2,468 at rank 64 and 2,244 at the
-    # top rank
+    # top rank; distance prices each of its words as a deletion search, so
+    # it admits 2,467 and 2,230 letters against e, and two words of 1,639
+    # letters at rank 256
     lm._require_searchable(top, 1, absorbs=True)
     lm._require_searchable(64, 239, absorbs=True)
     lm._require_searchable(64, 2468)
     lm._require_searchable(top, 2244)
+    lm._require_searchable(64, 2467, 0)
+    lm._require_searchable(top, 2230, 0)
+    lm._require_searchable(256, 1639, 1639)
     # the budget reads the word's length alone, before any work, so a word of
     # repeated letters stands for a canonical word of that length
     for n, length, searches in [
         (top, 2, (lm.m_function, lm.level_sets)),
         (64, 240, (lm.m_function, lm.level_sets)),
-        (64, 2469, (lm.level_by_definition, lambda x: lm.distance(x, core.unit(64)))),
-        (top, 2245, (lm.level_by_definition, lambda x: lm.distance(x, core.unit(top)))),
+        (64, 2469, (lm.level_by_definition,)),
+        (top, 2245, (lm.level_by_definition,)),
+        (64, 2468, (lambda x: lm.distance(x, core.unit(64)),)),
+        (top, 2231, (lambda x: lm.distance(x, core.unit(top)),)),
     ]:
         x = core.Element(n, (1,) * length)
         for search in searches:
             with pytest.raises(BudgetExceededError, match=f"rank {n} on {length} letters"):
                 search(x)
+    x = core.Element(256, (1,) * 1640)
+    with pytest.raises(BudgetExceededError, match="rank 256 on 3280 letters"):
+        lm.distance(x, x)
+
+
+def test_distance_of_two_long_words_is_priced_word_by_word():
+    # two 1,200-letter words at rank 256: 307 M units as one word of 2,400
+    # letters, past the budget, and 169 M as two words
+    x = core.Element(256, (1,) * 1200)
+    assert lm.distance(x, x) == 0
 
 
 # the calls each search by definition makes on x = a_3 a_1 a_4 a_2 a_5 a_3, of

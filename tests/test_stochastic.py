@@ -9,6 +9,7 @@ import pytest
 from kiselman import core, levelchain, stochastic as st
 from kiselman.enumeration import BudgetExceededError, enumerate_elements
 from conftest import sample_from_pmf
+from reference_chain import step_by_step_cdf
 
 # every element of K_3 but e is the product after some step of a trial
 K3_STEP_PRODUCTS = [x.letters for x in enumerate_elements(3) if x.letters]
@@ -176,6 +177,30 @@ def test_chain_cdf_truncation_must_be_nonnegative():
         st.chain_hitting_cdf([0.5, 0.5], -1)
 
 
+# B = isqrt(k_max + 1) values a block: with B = 12 (and 144, the block at
+# K = 20,714) these put 1, 1, 3, 3, 3 and 5 (1, 1, 12, 12, 12 and 17) values
+# in a block, and end on a full block, a one-value block and a two-value block
+BLOCK_EDGES = sorted({k for b in (12, 144) for k in (0, 1, b - 1, b, b + 1, 2 * b)})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_blocked_chain_cdf_equals_the_step_by_step_loop(n):
+    p = random_positive_p(np.random.default_rng(n), n)
+    for k_max in BLOCK_EDGES:
+        cdf = st.chain_hitting_cdf(p, k_max)
+        assert len(cdf) == k_max + 1
+        assert float(np.abs(cdf - step_by_step_cdf(p, k_max)).max()) <= 1e-12
+
+
+def test_blocked_chain_cdf_equals_the_loop_on_a_long_support(monkeypatch):
+    p = (0.999, 0.001)
+    reference = step_by_step_cdf(p, 20714)
+    assert float(np.abs(st.chain_hitting_cdf(p, 20714) - reference).max()) <= 1e-12
+    # a cap of three matrices' entries leaves blocks of two values
+    monkeypatch.setattr(st, "POWER_ENTRIES", 3 * 3**2)
+    assert float(np.abs(st.chain_hitting_cdf(p, 20714) - reference).max()) <= 1e-12
+
+
 def test_chain_cdf_truncation_budget():
     with pytest.raises(BudgetExceededError):
         st.chain_hitting_cdf([0.5, 0.5], st.PMF_MAX_K + 1)
@@ -320,13 +345,26 @@ def test_simulation_reproducible():
     # ten levels; trials 0, 100 and 200 are walked
     (10, (0.1,) * 10, 300, 10, "full",
      "6b9ef3e33177f90a7b8031757e47197e477f65e5c37d051d95c7782b6aab4bdf"),
-    # three seeding chunks, the last of one trial; every trial is walked
-    (3, (0.2, 0.3, 0.5), 2 * st.SEED_CHUNK + 1, 2**32 + 5, "full",
+    # three seeding chunks of 1,024 trials, the last of one trial; every
+    # trial is walked
+    (3, (0.2, 0.3, 0.5), 2049, 2**32 + 5, "full",
      "46eb08d85198bff37bf096aea652af00f06285c7670d4ee395f916a975632be2"),
+    # three seeding chunks of 4,096 trials, the last of one trial; every
+    # trial is walked
+    (3, (0.2, 0.3, 0.5), 8193, 2**32 + 5, "full",
+     "fbce7e491994b77a6b03f82f440001cc6556467a2716af07d6314925d11c81f3"),
+    # the same chunks at stride 100: trials 0, ..., 4000, 4100, ..., 8100
+    (4, (0.1, 0.2, 0.3, 0.4), 8193, 2**32 + 6, "full",
+     "e79fefe32602af29ce7f110e6dea897f0ab3a8ed3a11c9375961ead9dad4553a"),
 ])
 def test_simulation_report_bytes(n, p, trials, seed, mode, digest):
     report = st.simulate(n, p, trials=trials, seed=seed, mode=mode)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_a_seeding_chunk_fits_the_pass_and_divides_2_to_the_32():
+    assert 2**32 % st.SEED_CHUNK == 0
+    assert st.SEED_CHUNK <= st.PASS_DRAWS
 
 
 def test_trial_streams_refuse_a_range_across_2_to_the_32():
@@ -522,6 +560,33 @@ def test_full_mode_checks_each_visited_pair_once(monkeypatch):
     assert len(checked) == len(set(checked))  # each element's level once
 
 
+def test_lane_walk_equals_a_walk_one_letter_at_a_time():
+    rng = np.random.default_rng(4)
+    table = st._RightCayley(4)
+    letters = rng.integers(1, 5, size=(60, 12))
+    x, reached = table.walk(np.zeros(60, np.intp), letters[:, :6])
+    # a second pass goes on from x with the lanes that did not reach f
+    rest = np.flatnonzero(reached == 0)
+    x[rest], more = table.walk(x[rest], letters[rest, 6:])
+    reached[rest] = np.where(more > 0, more + 6, 0)
+    assert 0 < rest.size < 60 and (reached == 0).any()
+    for lane, row in enumerate(letters.tolist()):
+        word, first_zero = (), 0
+        for t, i in enumerate(row, start=1):
+            word = core.reduce_word((*word, i))
+            if word == core.zero(4).letters:
+                first_zero = t
+                break
+        assert table.elements[x[lane]].letters == word
+        assert reached[lane] == first_zero
+    # the numpy copies hold what the lists and the definition hold
+    count = len(table.elements)
+    assert table.move_array[:count].tolist() == table.moves
+    assert table.levels[:count].tolist() == [
+        st.level_by_definition(element) for element in table.elements]
+    assert table.failures == 0
+
+
 @pytest.mark.parametrize("letters", K3_STEP_PRODUCTS, ids=core.format_word)
 def test_misreported_level_is_caught(letters, monkeypatch):
     level_by_definition = st.level_by_definition
@@ -553,13 +618,50 @@ def test_scan_disagreeing_with_the_walk_is_caught(shift, monkeypatch):
     scan = st._scan
 
     def shifted(*args):
-        times, rows = scan(*args)
+        times, walked = scan(*args)
         times[5] += shift  # trial 5's walk reaches the zero at another step
-        return times, rows
+        return times, walked
 
     monkeypatch.setattr(st, "_scan", shifted)
     with pytest.raises(st.CrosscheckError, match="1 level/product mismatches"):
         st.simulate(3, (0.2, 0.3, 0.5), trials=10, seed=7, mode="full")
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_shifted_time_of_a_lane_walked_over_several_passes_is_caught(shift, monkeypatch):
+    scan, lane_draws = st._scan, st._lane_draws
+    passes = []
+
+    def counted(streams, size):
+        passes.append(len(streams[0]))
+        return lane_draws(streams, size)
+
+    def shifted(*args):
+        times, walked = scan(*args)
+        longest = int(times.argmax())  # walked in every pass of the scan
+        assert walked[longest] == times[longest] and len(passes) >= 3
+        times[longest] += shift
+        return times, walked
+
+    monkeypatch.setattr(st, "_lane_draws", counted)
+    monkeypatch.setattr(st, "_scan", shifted)
+    with pytest.raises(st.CrosscheckError, match="1 level/product mismatches"):
+        st.simulate(2, (0.999, 0.001), trials=50, seed=3, mode="full")
+
+
+def test_wrong_product_is_caught_on_strided_walks(monkeypatch):
+    reduce_word = core.reduce_word
+    f, f_above_1 = (5, 4, 3, 2, 1), (5, 4, 3, 2)
+
+    def missing_the_zero(letters):
+        # every product that is f (level 0) comes out as e_{2..5} (level 1)
+        word = reduce_word(letters)
+        return f_above_1 if word == f else word
+
+    monkeypatch.setattr(core, "reduce_word", missing_the_zero)
+    # trials 0, 100 and 200 are walked, and each walk ends at f
+    with pytest.raises(st.CrosscheckError, match="level/product mismatches"):
+        st.simulate(5, (0.1, 0.15, 0.2, 0.25, 0.3), trials=201, seed=7, mode="full")
 
 
 def test_crosscheck_stride_for_rank4():
